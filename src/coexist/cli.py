@@ -16,6 +16,7 @@ import copy
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Sequence
@@ -31,7 +32,14 @@ from .config import (
     load_scenario,
     resolve_grid,
 )
-from .numerics import db_to_linear, linear_to_db, fit_power_law, log_log_r_squared
+from . import _mc_kernels
+from .numerics import (
+    db_to_linear,
+    fit_power_law,
+    linear_to_db,
+    log_log_r_squared,
+    q_inverse,
+)
 from .propagation import (
     AntennaPattern,
     PowerLawPathLoss,
@@ -52,9 +60,9 @@ from .protection_multi import (
     OptimalPolicy,
     RadarBlindPolicy,
     SharingPolicy,
-    _gain_grid,
     campbell_stats,
     default_lobe_width_rad,
+    gain_grid,
     optimize_beta,
     outage_probability,
     policy_profile,
@@ -220,7 +228,7 @@ def _solve_policy(
         results = {"d_min_m": policy.d_min_m}
     elif kind == "optimal":
         policy = solve_optimal_profile(*args)
-        _, gains = _gain_grid(scenario.pattern, 4096)
+        _, gains = gain_grid(scenario.pattern)
         contour = policy.gamma * gains ** (1.0 / policy.alpha)
         results = {
             "gamma_m": policy.gamma,
@@ -395,12 +403,13 @@ def _cmd_protect_multi(
         )
     policy, results = _solve_policy(scenario, cfg, budget.i_max_w, fdr)
     field = scenario.require("field")
+    profile = policy_profile(policy, scenario.pattern)
     stats = campbell_stats(
         field,
         scenario.su,
         scenario.pattern,
         scenario.pathloss,
-        policy_profile(policy, scenario.pattern),
+        profile,
         fdr,
     )
     results.update(
@@ -416,7 +425,6 @@ def _cmd_protect_multi(
     )
 
     contour_theta = [float(t) for t in np.linspace(-180.0, 180.0, 721)]
-    profile = policy_profile(policy, scenario.pattern)
     contour_d = profile(np.radians(contour_theta))
     tracker.table(
         "protect_multi_contour",
@@ -425,8 +433,6 @@ def _cmd_protect_multi(
     )
 
     if "density_per_m2" in scenario.sweeps:
-        from dataclasses import replace
-
         grid = resolve_grid(scenario.sweeps["density_per_m2"], "density_per_m2")
         rows = []
         for density in grid:
@@ -471,24 +477,19 @@ def _cmd_throughput(
         trace,
     )
 
-    boresight_peak = radar_interference_w(
-        scenario.radar,
-        scenario.su,
-        scenario.pattern,
-        scenario.pathloss,
-        su_distance,
-        0.0,
-        "peak",
-    )
-    boresight_avg = radar_interference_w(
-        scenario.radar,
-        scenario.su,
-        scenario.pattern,
-        scenario.pathloss,
-        su_distance,
-        0.0,
-        "averaged",
-    )
+    def boresight_dbm(rate_mode: str) -> float:
+        return dbm(
+            radar_interference_w(
+                scenario.radar, scenario.su, scenario.pattern, scenario.pathloss,
+                su_distance, 0.0, rate_mode,
+            )
+        )
+
+    def avg_rate(distance_m: float, rate_mode: str) -> float:
+        return average_throughput(
+            link, *common, distance_m, DEFAULT_80211N, rate_mode, n_steps
+        )
+
     results: Dict[str, Any] = {
         "policy": cfg["type"],
         "mode": mode,
@@ -496,15 +497,11 @@ def _cmd_throughput(
         "noise_power_w": wifi_noise_w(link),
         "noise_power_dbm": dbm(wifi_noise_w(link)),
         "interference_free_snr_db": linear_to_db(wifi_sinr(link, 0.0)),
-        "boresight_interference_peak_dbm": dbm(boresight_peak),
-        "boresight_interference_averaged_dbm": dbm(boresight_avg),
+        "boresight_interference_peak_dbm": boresight_dbm("peak"),
+        "boresight_interference_averaged_dbm": boresight_dbm("averaged"),
         "duty_factor": duty_factor(policy, scenario.pattern, su_distance),
-        "avg_rate_peak_mbps": average_throughput(
-            link, *common, su_distance, DEFAULT_80211N, "peak", n_steps
-        ),
-        "avg_rate_averaged_mbps": average_throughput(
-            link, *common, su_distance, DEFAULT_80211N, "averaged", n_steps
-        ),
+        "avg_rate_peak_mbps": avg_rate(su_distance, "peak"),
+        "avg_rate_averaged_mbps": avg_rate(su_distance, "averaged"),
     }
     results.update(policy_results)
 
@@ -516,12 +513,8 @@ def _cmd_throughput(
                 (
                     d,
                     duty_factor(policy, scenario.pattern, d),
-                    average_throughput(
-                        link, *common, d, DEFAULT_80211N, "peak", n_steps
-                    ),
-                    average_throughput(
-                        link, *common, d, DEFAULT_80211N, "averaged", n_steps
-                    ),
+                    avg_rate(d, "peak"),
+                    avg_rate(d, "averaged"),
                 )
             )
         tracker.table(
@@ -549,18 +542,14 @@ def _cmd_validate_mc(
     seed = opts.seed if opts.seed is not None else mc["seed"]
     n_samples = opts.samples if opts.samples is not None else mc["samples"]
     outer_radius = mc["outer_radius_m"]
-    backend = mc.get("backend")
+    backend = _mc_kernels.resolve_backend(mc.get("backend"))
 
     profile_cfg = mc["profile"]
     if profile_cfg["type"] == "constant":
-        d0 = profile_cfg["distance_m"]
-
-        def profile(theta_rad):
-            return np.full(np.shape(np.asarray(theta_rad)), d0)
-
+        policy: SharingPolicy = RadarBlindPolicy(d_min_m=profile_cfg["distance_m"])
     else:
         policy = OptimalPolicy(gamma=profile_cfg["gamma"], alpha=model.alpha)
-        profile = policy_profile(policy, scenario.pattern)
+    profile = policy_profile(policy, scenario.pattern)
 
     stats = campbell_stats(
         field,
@@ -585,8 +574,6 @@ def _cmd_validate_mc(
     )
     mean_emp = float(np.mean(samples))
     var_emp = float(np.var(samples, ddof=1))
-    from .numerics import q_inverse
-
     quantiles = mc.get("i_max_quantiles", [0.05, 0.1, 0.2])
     z99 = 2.5758293035489004  # two-sided 99% normal quantile
     rows = []
@@ -611,7 +598,7 @@ def _cmd_validate_mc(
         rows,
     )
     return {
-        "backend": backend if backend is not None else "auto",
+        "backend": backend,
         "n_samples": n_samples,
         "outer_radius_m": outer_radius,
         "mean_analytic_w": stats.mean_w,

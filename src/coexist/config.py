@@ -17,7 +17,9 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 import jsonschema
+import numpy as np
 
+from .numerics import db_to_linear
 from .propagation import (
     AntennaPattern,
     ConstantGain,
@@ -74,6 +76,17 @@ class Scenario:
         baseline = RocPoint(**det["baseline"])
         degraded = RocPoint(**det["degraded"])
         return baseline, degraded
+
+
+# json.loads accepts NaN/Infinity and overflows 1e999 to inf; no field can
+# use them, so a non-finite float is not a schema "number" here
+_TYPES = jsonschema.Draft202012Validator.TYPE_CHECKER
+_FiniteNumberValidator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=_TYPES.redefine(
+        "number", lambda _, x: _TYPES.is_type(x, "number") and math.isfinite(x)
+    ),
+)
 
 
 def _load_schema() -> Dict[str, Any]:
@@ -141,8 +154,6 @@ def _build_pathloss(cfg: Dict[str, Any]) -> PathLossModel:
         return PowerLawPathLoss(k0=cfg["k0"], alpha=cfg["alpha"])
     if "csv_path" in cfg:
         return TabulatedPathLoss.from_csv(cfg["csv_path"])
-    from .numerics import db_to_linear
-
     distances = tuple(float(row[0]) for row in cfg["samples"])
     attens = tuple(db_to_linear(float(row[1])) for row in cfg["samples"])
     return TabulatedPathLoss(distances_m=distances, attenuations=attens)
@@ -164,7 +175,7 @@ def load_scenario(path: str | Path) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ParseError(f"config is not valid JSON ({concrete}): {exc}") from exc
 
-    validator = jsonschema.Draft202012Validator(_load_schema())
+    validator = _FiniteNumberValidator(_load_schema())
     errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
@@ -223,8 +234,6 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def resolve_grid(spec: Dict[str, Any], name: str) -> list[float]:
     """Materialise a sweep grid spec into a sorted list of floats."""
-    import numpy as np
-
     if "values" in spec:
         values = [float(v) for v in spec["values"]]
         if any(values[i] >= values[i + 1] for i in range(len(values) - 1)):

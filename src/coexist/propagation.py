@@ -206,21 +206,30 @@ class ConstantGain:
 Pattern = Union[AntennaPattern, ConstantGain]
 
 
+def _gain_dbi_abs(pattern: Pattern, abs_deg: float | np.ndarray) -> np.ndarray:
+    """Gain in dBi at |theta| in degrees (float or array): the pattern's one formula."""
+    if isinstance(pattern, ConstantGain):
+        return np.full(np.shape(abs_deg), pattern.gain_dbi)
+    a, g = abs_deg, pattern.gmax_dbi
+    main = g - 0.0004 * 10.0 ** (g / 10.0) * a * a
+    # clamped at theta_r > 0, below which the skirt is never selected
+    skirt = 53.0 - 0.5 * g - 25.0 * np.log10(np.maximum(a, pattern.theta_r_deg))
+    return np.where(
+        a <= pattern.theta_m_deg,
+        main,
+        np.where(
+            a <= pattern.theta_r_deg,
+            0.75 * g - 7.0,
+            np.where(a <= pattern.theta_b_deg, skirt, 11.0 - 0.5 * g),
+        ),
+    )
+
+
 def gain_dbi(pattern: Pattern, theta_deg: float) -> float:
     """Antenna gain in dBi at azimuth ``theta_deg`` in [-180, 180]."""
     if not -180.0 <= theta_deg <= 180.0:
         raise ValueError("theta_deg must lie in [-180, 180]")
-    if isinstance(pattern, ConstantGain):
-        return pattern.gain_dbi
-    a = abs(theta_deg)
-    g = pattern.gmax_dbi
-    if a <= pattern.theta_m_deg:
-        return g - 0.0004 * 10.0 ** (g / 10.0) * a * a
-    if a <= pattern.theta_r_deg:
-        return 0.75 * g - 7.0
-    if a <= pattern.theta_b_deg:
-        return 53.0 - 0.5 * g - 25.0 * math.log10(a)
-    return 11.0 - 0.5 * g
+    return float(_gain_dbi_abs(pattern, abs(theta_deg)))
 
 
 def gain_linear(pattern: Pattern, theta_deg: float) -> float:
@@ -247,24 +256,11 @@ def gain_linear_array(pattern: Pattern, theta_rad: np.ndarray) -> np.ndarray:
     can be evaluated in one shot.
     """
     theta_rad = np.asarray(theta_rad, dtype=float)
-    if isinstance(pattern, ConstantGain):
-        return np.full(theta_rad.shape, db_to_linear(pattern.gain_dbi))
     # wrap by subtracting the nearest multiple of 2*pi: values already in
     # [-pi, pi] pass through bit-exact, so branch membership at the pattern
     # break points matches the scalar path instead of drifting by an ulp
     wrapped = theta_rad - 2.0 * np.pi * np.round(theta_rad / (2.0 * np.pi))
-    a = np.abs(np.degrees(wrapped))
-    g = pattern.gmax_dbi
-    out_db = np.empty_like(a)
-    main = a <= pattern.theta_m_deg
-    plateau = (~main) & (a <= pattern.theta_r_deg)
-    skirt = (~main) & (~plateau) & (a <= pattern.theta_b_deg)
-    back = a > pattern.theta_b_deg
-    out_db[main] = g - 0.0004 * 10.0 ** (g / 10.0) * a[main] ** 2
-    out_db[plateau] = 0.75 * g - 7.0
-    out_db[skirt] = 53.0 - 0.5 * g - 25.0 * np.log10(a[skirt])
-    out_db[back] = 11.0 - 0.5 * g
-    return 10.0 ** (out_db / 10.0)
+    return 10.0 ** (_gain_dbi_abs(pattern, np.abs(np.degrees(wrapped))) / 10.0)
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,15 @@ from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
-from .numerics import RootBracket, q_inverse, q_tail, solve_root
+from .numerics import (
+    N_PANELS_DEFAULT,
+    TWO_PI,
+    RootBracket,
+    periodic_rule,
+    q_inverse,
+    q_tail,
+    solve_root,
+)
 from .propagation import (
     ConstantGain,
     Pattern,
@@ -37,9 +45,6 @@ from .propagation import (
 from .protection_single import SecondaryUser
 from . import _mc_kernels
 
-TWO_PI = 2.0 * math.pi
-
-N_PANELS_DEFAULT = 4096
 PROFILE_TABLE_SIZE = 16384
 
 
@@ -153,7 +158,10 @@ def default_lobe_width_rad(pattern: Pattern) -> float:
 
 
 @lru_cache(maxsize=32)
-def _gain_grid(pattern: Pattern, n_panels: int) -> Tuple[np.ndarray, np.ndarray]:
+def gain_grid(
+    pattern: Pattern, n_panels: int = N_PANELS_DEFAULT
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Cached read-only (theta, linear gain) on the uniform n_panels azimuth grid."""
     theta = np.linspace(0.0, TWO_PI, n_panels, endpoint=False)
     gains = gain_linear_array(pattern, theta)
     theta.setflags(write=False)
@@ -225,6 +233,23 @@ def _require_power_law(model: PathLossModel) -> PowerLawPathLoss:
     return model
 
 
+def _campbell_moments(
+    gains: np.ndarray, d: np.ndarray, alpha: float, outer_radius_m: float | None = None
+) -> Tuple[float, float]:
+    """(int G d^(2-alpha), int G^2 d^(2-2*alpha)) for gains and contour d on one grid.
+
+    With ``outer_radius_m`` set, the radial integrals stop at that radius.
+    """
+    radial_mean = d ** (2.0 - alpha)
+    radial_var = d ** (2.0 - 2.0 * alpha)
+    if outer_radius_m is not None:
+        if not outer_radius_m > float(np.max(d)):
+            raise ValueError("outer_radius_m must exceed the profile everywhere")
+        radial_mean = radial_mean - outer_radius_m ** (2.0 - alpha)
+        radial_var = radial_var - outer_radius_m ** (2.0 - 2.0 * alpha)
+    return periodic_rule(gains * radial_mean), periodic_rule(gains**2 * radial_var)
+
+
 def campbell_stats(
     field: DeploymentField,
     su: SecondaryUser,
@@ -245,21 +270,13 @@ def campbell_stats(
     Carlo sampler that truncates the field at the same radius.
     """
     model = _require_power_law(model)
-    alpha = model.alpha
-    theta, gains = _gain_grid(pattern, n_panels)
+    theta, gains = gain_grid(pattern, n_panels)
     d = _profile_on_grid(profile, theta)
+    m1, m2 = _campbell_moments(gains, d, model.alpha, outer_radius_m)
     c_mu, c_sigma2 = _prefactors(field, su, model, fdr)
-    radial_mean = d ** (2.0 - alpha)
-    radial_var = d ** (2.0 - 2.0 * alpha)
-    if outer_radius_m is not None:
-        if np.any(d >= outer_radius_m):
-            raise ValueError("outer_radius_m must exceed the profile everywhere")
-        radial_mean = radial_mean - outer_radius_m ** (2.0 - alpha)
-        radial_var = radial_var - outer_radius_m ** (2.0 - 2.0 * alpha)
-    dtheta = TWO_PI / n_panels
-    mean = c_mu * float(np.sum(gains * radial_mean)) * dtheta
-    variance = c_sigma2 * float(np.sum(gains**2 * radial_var)) * dtheta
-    return CampbellStats(mean_w=mean, variance_w2=variance, c_mu=c_mu, c_sigma2=c_sigma2)
+    return CampbellStats(
+        mean_w=c_mu * m1, variance_w2=c_sigma2 * m2, c_mu=c_mu, c_sigma2=c_sigma2
+    )
 
 
 def outage_probability(stats: CampbellStats, i_max_w: float) -> float:
@@ -269,8 +286,21 @@ def outage_probability(stats: CampbellStats, i_max_w: float) -> float:
     return 0.0 if stats.mean_w < i_max_w else 1.0
 
 
-def _solve_declining(a_coef: float, b_coef: float, i_max_w: float, alpha: float) -> float:
-    """Root of a*x^(2-alpha) + b*x^(1-alpha) = i_max (strictly decreasing LHS)."""
+def _scale_onto_constraint(
+    field: DeploymentField, su: SecondaryUser, model: PowerLawPathLoss, fdr: float,
+    i_max_w: float, m1: float, m2: float,
+) -> float:
+    """Scale t pinning a contour with Campbell moments (m1, m2) onto the outage cap.
+
+    Solves a*t^(2-alpha) + b*t^(1-alpha) = I_max, a = C_mu*m1 and
+    b = Qinv(p)*sqrt(C_s2*m2); the left-hand side strictly decreases in t.
+    """
+    if not i_max_w > 0.0:
+        raise ValueError("i_max_w must be positive")
+    alpha = model.alpha
+    c_mu, c_sigma2 = _prefactors(field, su, model, fdr)
+    a_coef = c_mu * m1
+    b_coef = q_inverse(field.outage_max) * math.sqrt(c_sigma2 * m2)
 
     def f(x: float) -> float:
         return a_coef * x ** (2.0 - alpha) + b_coef * x ** (1.0 - alpha) - i_max_w
@@ -305,17 +335,13 @@ def solve_optimal_profile(
     gamma solves A*gamma^(2-alpha) + B*gamma^(1-alpha) = I_max with
     A = C_mu * J and B = Qinv(p) * sqrt(C_s2 * J), J = int G^(2/alpha).
     """
-    if not i_max_w > 0.0:
-        raise ValueError("i_max_w must be positive")
     model = _require_power_law(model)
-    alpha = model.alpha
-    theta, gains = _gain_grid(pattern, n_panels)
-    j_integral = float(np.sum(gains ** (2.0 / alpha))) * (TWO_PI / n_panels)
-    c_mu, c_sigma2 = _prefactors(field, su, model, fdr)
-    a_coef = c_mu * j_integral
-    b_coef = q_inverse(field.outage_max) * math.sqrt(c_sigma2 * j_integral)
-    gamma = _solve_declining(a_coef, b_coef, i_max_w, alpha)
-    return OptimalPolicy(gamma=gamma, alpha=alpha)
+    _, gains = gain_grid(pattern, n_panels)
+    j_integral = periodic_rule(gains ** (2.0 / model.alpha))
+    gamma = _scale_onto_constraint(
+        field, su, model, fdr, i_max_w, j_integral, j_integral
+    )
+    return OptimalPolicy(gamma=gamma, alpha=model.alpha)
 
 
 def solve_radar_blind(
@@ -328,34 +354,27 @@ def solve_radar_blind(
     n_panels: int = N_PANELS_DEFAULT,
 ) -> RadarBlindPolicy:
     """Constant keep-out distance meeting the outage constraint with equality."""
-    if not i_max_w > 0.0:
-        raise ValueError("i_max_w must be positive")
     model = _require_power_law(model)
-    alpha = model.alpha
-    theta, gains = _gain_grid(pattern, n_panels)
-    dtheta = TWO_PI / n_panels
-    int_g = float(np.sum(gains)) * dtheta
-    int_g2 = float(np.sum(gains**2)) * dtheta
-    c_mu, c_sigma2 = _prefactors(field, su, model, fdr)
-    a_coef = c_mu * int_g
-    b_coef = q_inverse(field.outage_max) * math.sqrt(c_sigma2 * int_g2)
-    d_min = _solve_declining(a_coef, b_coef, i_max_w, alpha)
+    _, gains = gain_grid(pattern, n_panels)
+    d_min = _scale_onto_constraint(
+        field, su, model, fdr, i_max_w, periodic_rule(gains), periodic_rule(gains**2)
+    )
     return RadarBlindPolicy(d_min_m=d_min)
 
 
+@lru_cache(maxsize=32)
 def _split_gain_integrals(
     pattern: Pattern, lobe_width_rad: float, n_panels: int
 ) -> Tuple[float, float, float, float]:
-    """(main, side) integrals of G and G^2 over the lobe window and its complement."""
-    theta, gains = _gain_grid(pattern, n_panels)
+    """(main, side) integrals of G and G^2 over the lobe window and its complement.
+
+    Cached: they do not depend on beta, which optimize_beta varies.
+    """
+    theta, gains = gain_grid(pattern, n_panels)
     wrapped = np.remainder(theta + np.pi, TWO_PI) - np.pi
     in_main = np.abs(wrapped) <= lobe_width_rad / 2.0
-    dtheta = TWO_PI / n_panels
-    main_g = float(np.sum(gains[in_main])) * dtheta
-    side_g = float(np.sum(gains[~in_main])) * dtheta
-    main_g2 = float(np.sum(gains[in_main] ** 2)) * dtheta
-    side_g2 = float(np.sum(gains[~in_main] ** 2)) * dtheta
-    return main_g, side_g, main_g2, side_g2
+    main, side = gains * in_main, gains * ~in_main
+    return tuple(periodic_rule(v) for v in (main, side, main**2, side**2))
 
 
 def solve_main_side(
@@ -377,8 +396,6 @@ def solve_main_side(
     declining one-dimensional equation in d_min.  beta = 1 collapses to the
     radar-blind solution exactly.
     """
-    if not i_max_w > 0.0:
-        raise ValueError("i_max_w must be positive")
     if not beta >= 1.0:
         raise ValueError("beta must be >= 1")
     model = _require_power_law(model)
@@ -388,10 +405,7 @@ def solve_main_side(
     )
     xi1 = side_g + beta ** (2.0 - alpha) * main_g
     xi2 = side_g2 + beta ** (2.0 - 2.0 * alpha) * main_g2
-    c_mu, c_sigma2 = _prefactors(field, su, model, fdr)
-    a_coef = c_mu * xi1
-    b_coef = q_inverse(field.outage_max) * math.sqrt(c_sigma2 * xi2)
-    d_min = _solve_declining(a_coef, b_coef, i_max_w, alpha)
+    d_min = _scale_onto_constraint(field, su, model, fdr, i_max_w, xi1, xi2)
     return MainSideLobePolicy(
         d_min_m=d_min, d_max_m=beta * d_min, beta=beta, lobe_width_rad=lobe_width_rad
     )
@@ -473,8 +487,7 @@ def profile_area_m2(
 ) -> float:
     """Enclosed area of a polar contour, int d(theta)^2 / 2 dtheta."""
     theta = np.linspace(0.0, TWO_PI, n_panels, endpoint=False)
-    d = _profile_on_grid(profile, theta)
-    return float(np.sum(d**2)) * (TWO_PI / n_panels) / 2.0
+    return periodic_rule(_profile_on_grid(profile, theta) ** 2) / 2.0
 
 
 def protected_area_m2(
@@ -488,11 +501,8 @@ def protected_area_m2(
         return _two_ring_area_m2(policy)
     if isinstance(policy, OptimalPolicy):
         model = _require_power_law(model)
-        theta, gains = _gain_grid(pattern, n_panels)
-        j_integral = float(np.sum(gains ** (2.0 / policy.alpha))) * (
-            TWO_PI / n_panels
-        )
-        return policy.gamma**2 * j_integral / 2.0
+        _, gains = gain_grid(pattern, n_panels)
+        return policy.gamma**2 * periodic_rule(gains ** (2.0 / policy.alpha)) / 2.0
     raise TypeError(f"unknown policy type {type(policy)!r}")
 
 
@@ -513,9 +523,9 @@ def rescale_to_constraint(
     declining scalar equation the policy solvers use.
     """
     model = _require_power_law(model)
-    stats = campbell_stats(field, su, pattern, model, profile, fdr, None, n_panels)
-    z = q_inverse(field.outage_max)
-    return _solve_declining(stats.mean_w, z * stats.std_w, i_max_w, model.alpha)
+    theta, gains = gain_grid(pattern, n_panels)
+    m1, m2 = _campbell_moments(gains, _profile_on_grid(profile, theta), model.alpha)
+    return _scale_onto_constraint(field, su, model, fdr, i_max_w, m1, m2)
 
 
 @dataclass(frozen=True)
@@ -549,16 +559,12 @@ def verify_local_optimality(
     than ``tolerance`` (relative), OptimalityViolation is raised.
     """
     model = _require_power_law(model)
-    alpha = model.alpha
-    theta, gains = _gain_grid(pattern, n_panels)
-    dtheta = TWO_PI / n_panels
+    theta, gains = gain_grid(pattern, n_panels)
     # the policy's own contour (its exponent, not the model's): a policy
     # built with the wrong exponent must fail this check, not be silently
     # replaced by the correct shape
     d0 = _profile_on_grid(policy_profile(policy, pattern), theta)
-    area0 = float(np.sum(d0**2)) * dtheta / 2.0
-    c_mu, c_sigma2 = _prefactors(field, su, model, fdr)
-    z = q_inverse(field.outage_max)
+    area0 = periodic_rule(d0**2) / 2.0
     rng = np.random.default_rng(seed)
     worst = 0.0
     for trial in range(n_perturbations):
@@ -570,12 +576,9 @@ def verify_local_optimality(
         if peak == 0.0:
             continue
         d_eps = d0 * (1.0 + amplitude * ripple / peak)
-        mean_eps = c_mu * float(np.sum(gains * d_eps ** (2.0 - alpha))) * dtheta
-        var_eps = (
-            c_sigma2 * float(np.sum(gains**2 * d_eps ** (2.0 - 2.0 * alpha))) * dtheta
-        )
-        t = _solve_declining(mean_eps, z * math.sqrt(var_eps), i_max_w, alpha)
-        area_eps = t**2 * float(np.sum(d_eps**2)) * dtheta / 2.0
+        m1, m2 = _campbell_moments(gains, d_eps, model.alpha)
+        t = _scale_onto_constraint(field, su, model, fdr, i_max_w, m1, m2)
+        area_eps = t**2 * periodic_rule(d_eps**2) / 2.0
         reduction = 1.0 - area_eps / area0
         if reduction > worst:
             worst = reduction
@@ -630,20 +633,14 @@ def sample_aggregate(
         raise ValueError("n_samples must be at least 1")
     model = _require_power_law(model)
     alpha = model.alpha
-    theta_tab = np.linspace(0.0, TWO_PI, PROFILE_TABLE_SIZE, endpoint=False)
-    gain_tab = gain_linear_array(pattern, theta_tab)
+    theta_tab, gain_tab = gain_grid(pattern, PROFILE_TABLE_SIZE)
     prof_tab = _profile_on_grid(profile, theta_tab)
-    if not outer_radius_m > float(np.max(prof_tab)):
-        raise ValueError("outer_radius_m must exceed the profile everywhere")
-    dtheta = TWO_PI / PROFILE_TABLE_SIZE
-    c_mu, _ = _prefactors(field, su, model, fdr)
-    mean_full = c_mu * float(np.sum(gain_tab * prof_tab ** (2.0 - alpha))) * dtheta
-    mean_tail = c_mu * float(np.sum(gain_tab)) * dtheta * outer_radius_m ** (
-        2.0 - alpha
-    )
-    if mean_tail > 0.01 * mean_full:
+    mean_full, _ = _campbell_moments(gain_tab, prof_tab, alpha)
+    mean_kept, _ = _campbell_moments(gain_tab, prof_tab, alpha, outer_radius_m)
+    tail_share = 1.0 - mean_kept / mean_full
+    if tail_share > 0.01:
         raise TruncationTooSevere(
-            f"outer radius {outer_radius_m} m leaves {mean_tail / mean_full:.2%} "
+            f"outer radius {outer_radius_m} m leaves {tail_share:.2%} "
             "of the analytic mean outside the sampled annulus (cap: 1%)"
         )
     lam_disk = field.active_density_per_m2 * math.pi * outer_radius_m**2

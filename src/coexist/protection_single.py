@@ -18,6 +18,7 @@ from .numerics import linear_to_db
 from .propagation import (
     PathLossModel,
     Pattern,
+    PowerLawPathLoss,
     attenuation,
     fdr_cochannel,
     gain_linear,
@@ -186,8 +187,6 @@ def single_user_gamma(
     G(theta)**(1/alpha); this returns that constant,
     (k0 * P_SU / (FDR * I_max))**(1/alpha).
     """
-    from .propagation import PowerLawPathLoss
-
     if not isinstance(model, PowerLawPathLoss):
         raise TypeError("closed-form contour scale requires a power-law model")
     if budget.i_max_w == 0.0:

@@ -25,7 +25,7 @@ from .protection_multi import (
     OptimalPolicy,
     RadarBlindPolicy,
     SharingPolicy,
-    _gain_grid,
+    gain_grid,
     policy_profile,
 )
 from .radar_detection import BOLTZMANN_J_PER_K, RadarSystem
@@ -130,17 +130,27 @@ def radar_interference_w(
     mode scales it by the radar duty cycle PW * f_R, the mean over a pulse
     repetition interval.
     """
+    return _radar_power_w(
+        radar, su, gain_linear(pattern, theta_deg), model, distance_m, mode
+    )
+
+
+def _radar_power_w(
+    radar: RadarSystem, su: SecondaryUser, gain: float | np.ndarray,
+    model: PathLossModel, distance_m: float, mode: str,
+) -> float | np.ndarray:
+    """P_T * G_SU * gain * l(d), times PW * f_R if averaged; gain may be an array."""
     if not distance_m > 0.0:
         raise ValueError("distance_m must be positive")
     mode = _normalize_mode(mode)
     power = (
         radar.tx_power_w
         * db_to_linear(su.antenna_gain_dbi)
-        * gain_linear(pattern, theta_deg)
+        * gain
         * attenuation(model, distance_m)
     )
     if mode == "averaged":
-        power *= radar.pulse_width_s * radar.prf_hz
+        power = power * (radar.pulse_width_s * radar.prf_hz)
     return power
 
 
@@ -184,7 +194,7 @@ def duty_factor(
             return 1.0 - policy.lobe_width_rad / (2.0 * math.pi)
         return 1.0
     if isinstance(policy, OptimalPolicy):
-        _, gains = _gain_grid(pattern, 4096)
+        _, gains = gain_grid(pattern)
         d_required = policy.gamma * gains ** (1.0 / policy.alpha)
         return float(np.mean(distance_m >= d_required))
     raise TypeError(f"unknown policy type {type(policy)!r}")
@@ -209,20 +219,10 @@ def throughput_trace(
     """
     if n_time_steps < 8:
         raise ValueError("n_time_steps must be at least 8 per scan")
-    if not distance_m > 0.0:
-        raise ValueError("distance_m must be positive")
-    mode = _normalize_mode(mode)
     t = np.arange(n_time_steps) * (radar.scan_time_s / n_time_steps)
     theta = 2.0 * math.pi * t / radar.scan_time_s
     gains = gain_linear_array(pattern, theta)
-    power = (
-        radar.tx_power_w
-        * db_to_linear(link.su.antenna_gain_dbi)
-        * gains
-        * attenuation(model, distance_m)
-    )
-    if mode == "averaged":
-        power = power * (radar.pulse_width_s * radar.prf_hz)
+    power = _radar_power_w(radar, link.su, gains, model, distance_m, mode)
     signal = link.su.eirp_w / db_to_linear(link.link_loss_db)
     sinr = signal / (wifi_noise_w(link) + power)
     d_required = policy_profile(policy, pattern)(theta)

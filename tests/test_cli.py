@@ -8,12 +8,17 @@ library-level tests; the CLI must reproduce them exactly.
 
 import filecmp
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import coexist
+from coexist import _mc_kernels
 from coexist.cli import main
 from coexist.config import fixture_path
 
@@ -280,6 +285,8 @@ def test_validate_mc_reruns_are_byte_identical(tmp_path):
     assert summary["config"]["mc"]["samples"] == 200  # override echoed back
     results = summary["results"]
     assert results["n_samples"] == 200
+    # the backend that actually ran, never the "auto" placeholder
+    assert results["backend"] == _mc_kernels.resolve_backend(None)
     assert isinstance(results["exceedance_all_within_ci99"], bool)
 
     header, rows = _csv_rows(out1 / "validate_mc.csv")
@@ -344,6 +351,31 @@ def test_schema_violation_exits_3(tmp_path, capsys):
     rc = main(["detect", "--config", str(config), "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "radar.tx_power_w" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_number_exits_3(tmp_path, capsys, value):
+    # json.dumps writes these as the Infinity / -Infinity / NaN literals,
+    # which json.loads accepts; the loader must reject them by field name
+    def poison(cfg):
+        cfg["field"]["density_per_m2"] = value
+
+    config = _variant(tmp_path, "type_b_radar", poison)
+    assert "Infinity" in config.read_text() or "NaN" in config.read_text()
+    rc = main(["protect-multi", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert "field.density_per_m2" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(coexist.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, coexist.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_unknown_key_exits_3(tmp_path, capsys):
