@@ -1,20 +1,11 @@
-"""Backend-switched Monte Carlo kernels for the aggregate-interference sampler.
+"""Monte Carlo kernel for the aggregate-interference sampler.
 
-Two samplers of the same field:
-
-* a vectorised numpy kernel (always available; the one the test suite's
-  time bounds are set for), and
-* a numba ``@njit`` scalar loop, used by default when the optional numba
-  package imports cleanly.
-
-``COEXIST_BACKEND=numpy`` or ``COEXIST_BACKEND=numba`` overrides the
-default; ``sample_sums(..., backend=...)`` overrides both.  Each backend
-is deterministic for a fixed (seed, n_samples) pair and prefix-stable:
-samples come in blocks of a size that depends on the scenario but never
-on ``n_samples``, and every block seeds its own generator from a
+A vectorised numpy kernel samples the Poisson field.  It is deterministic
+for a fixed (seed, n_samples) pair and prefix-stable: samples come in
+blocks of a size that depends on the scenario but never on
+``n_samples``, and every block seeds its own generator from a
 SeedSequence-derived 32-bit state, so sample i never depends on how many
-samples were requested.  The two backends draw different random streams,
-so they do not reproduce each other sample-for-sample; pick one per study.
+samples were requested.
 
 Geometry convention: v = r^2/R^2 on the disk of radius R, and a point
 survives thinning iff v >= (d(theta)/R)^2 with d the keep-out contour.
@@ -22,123 +13,41 @@ Each survivor adds c_point * G(theta) * v^(-alpha/2) to its sample's sum,
 where c_point folds the per-transmitter EIRP, path-loss scale, R^-alpha,
 and FDR.
 
-numpy kernel: blocks hold whole samples, about ``BLOCK_POINTS`` expected
-points each, and points are generated in slices of at most
-``SLICE_POINTS``, so memory stays bounded however dense the field.  No
-point can survive inside the smallest keep-out distance d_lo, so points
-are drawn only on the annulus: a Poisson count of mean
-lam_disk * (1 - (d_lo/R)^2) with v uniform on ((d_lo/R)^2, 1], an exact
-thinning of the same field.  The per-point survival test runs only where
-the contour is not constant.  The azimuth is a uniform table index
-(``Generator.integers``) and the tables are read at that index: the
-piecewise-constant gain and contour the Campbell quadrature integrates.
-Generators are ``numpy.random.Generator(PCG64)``.
+Blocks hold whole samples, about ``BLOCK_POINTS`` expected points each,
+and points are generated in slices of at most ``SLICE_POINTS``, so memory
+stays bounded however dense the field.  No point can survive inside the
+smallest keep-out distance d_lo, so points are drawn only on the annulus:
+a Poisson count of mean lam_disk * (1 - (d_lo/R)^2) with v uniform on
+((d_lo/R)^2, 1], an exact thinning of the same field.  The per-point
+survival test runs only where the contour is not constant.  The azimuth
+is a uniform table index (``Generator.integers``) and the tables are read
+at that index: the piecewise-constant gain and contour the Campbell
+quadrature integrates.  Generators are ``numpy.random.Generator(PCG64)``.
 
-numba kernel: chunks of ``CHUNK`` samples, legacy ``np.random`` draws on
-the full disk, and linear interpolation between table entries.
-
-Azimuth tables must have power-of-two length.  Both kernels skip the
-angular draw when both tables are constant, so the azimuth stream depends
-on whether the tables are constant; determinism holds per (seed, backend,
-table shape).
+The kernel skips the angular draw when both tables are constant, so the
+azimuth stream depends on whether the tables are constant; determinism
+holds per (seed, table shape).
 """
 
 from __future__ import annotations
 
-import os
+import importlib.util
 
 import numpy as np
 
-CHUNK = 250  # samples per numba chunk
-BLOCK_POINTS = 1 << 16  # expected points per numpy block
-SLICE_POINTS = 1 << 18  # most points the numpy kernel holds at once
+BLOCK_POINTS = 1 << 16  # expected points per block
+SLICE_POINTS = 1 << 18  # most points the kernel holds at once
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional extra
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+# reported by the benchmark's info line; numba is looked up, never imported
+HAS_NUMBA = importlib.util.find_spec("numba") is not None
 
 
-def resolve_backend(override: str | None = None) -> str:
-    """Pick 'numba' or 'numpy' from the override, env flag, or availability."""
-    choice = override if override is not None else os.environ.get("COEXIST_BACKEND")
-    if choice is not None:
-        choice = choice.strip().lower()
-        if choice not in ("numba", "numpy"):
-            raise ValueError(f"unknown backend {choice!r} (use 'numba' or 'numpy')")
-        if choice == "numba" and not HAS_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        return choice
-    return "numba" if HAS_NUMBA else "numpy"
+def resolve_backend() -> str:
+    """Name of the kernel that samples the field (echoed by validate-mc)."""
+    return "numpy"
 
 
-@njit(cache=True)
-def _chunk_numba(
-    seed,
-    n_sub,
-    lam_disk,
-    dnorm2_tab,
-    gain_tab,
-    dn2_const,
-    dn2_0,
-    gain_const,
-    gain_0,
-    c_point,
-    k_pow,
-    half_neg,
-    out,
-):
-    np.random.seed(seed)
-    n_tab = dnorm2_tab.shape[0]
-    mask = n_tab - 1
-    need_pos = not (dn2_const and gain_const)
-    for i in range(n_sub):
-        n_points = np.random.poisson(lam_disk)
-        total = 0.0
-        for _ in range(n_points):
-            v = 1.0 - np.random.random()
-            if need_pos:
-                pos = np.random.random() * n_tab
-                j = int(pos)
-                frac = pos - j
-                j1 = (j + 1) & mask
-            else:
-                j = 0
-                frac = 0.0
-                j1 = 0
-            if dn2_const:
-                dn2 = dn2_0
-            else:
-                dn2 = dnorm2_tab[j] + frac * (dnorm2_tab[j1] - dnorm2_tab[j])
-            if v < dn2:
-                continue
-            if gain_const:
-                g = gain_0
-            else:
-                g = gain_tab[j] + frac * (gain_tab[j1] - gain_tab[j])
-            if k_pow > 0:
-                u = 1.0 / v
-                p = u
-                for _k in range(k_pow - 1):
-                    p *= u
-            else:
-                p = v**half_neg
-            total += g * p
-        out[i] = c_point * total
-    return out
-
-
-def _block_numpy(
+def _block(
     rng,
     lam_ann,
     dn2_lo,
@@ -195,37 +104,23 @@ def _block_numpy(
     return out
 
 
-def _sums_numba(lam_disk, dnorm2_tab, gain_tab, dn2_const, gain_const,
-                c_point, k_pow, half_neg, n_samples, seed):
-    n_chunks = (n_samples + CHUNK - 1) // CHUNK
-    chunk_seeds = np.random.SeedSequence(seed).generate_state(n_chunks, dtype=np.uint32)
-    results = np.empty(n_samples, dtype=np.float64)
-    for c in range(n_chunks):
-        start = c * CHUNK
-        stop = min(start + CHUNK, n_samples)
-        n_sub = stop - start
-        buf = np.empty(n_sub, dtype=np.float64)
-        _chunk_numba(
-            int(chunk_seeds[c]),
-            n_sub,
-            float(lam_disk),
-            dnorm2_tab,
-            gain_tab,
-            dn2_const,
-            float(dnorm2_tab[0]),
-            gain_const,
-            float(gain_tab[0]),
-            float(c_point),
-            k_pow,
-            float(half_neg),
-            buf,
-        )
-        results[start:stop] = buf
-    return results
-
-
-def _sums_numpy(lam_disk, dnorm2_tab, gain_tab, dn2_const, gain_const,
-                c_point, k_pow, half_neg, n_samples, seed):
+def sample_sums(
+    lam_disk: float,
+    dnorm2_tab: np.ndarray,
+    gain_tab: np.ndarray,
+    c_point: float,
+    half_neg: float,
+    n_samples: int,
+    seed: int,
+) -> np.ndarray:
+    """Draw ``n_samples`` aggregate-interference sums."""
+    dnorm2_tab = np.ascontiguousarray(dnorm2_tab, dtype=np.float64)
+    gain_tab = np.ascontiguousarray(gain_tab, dtype=np.float64)
+    if gain_tab.shape[0] != dnorm2_tab.shape[0]:
+        raise ValueError("tables must have equal length")
+    dn2_const = bool(np.all(dnorm2_tab == dnorm2_tab[0]))
+    gain_const = bool(np.all(gain_tab == gain_tab[0]))
+    k_pow = int(round(-half_neg)) if -half_neg == round(-half_neg) else 0
     dn2_lo = float(np.min(dnorm2_tab))
     lam_ann = float(lam_disk) * (1.0 - dn2_lo)
     per_block = max(1, int(BLOCK_POINTS // max(lam_ann, 1.0)))
@@ -236,7 +131,7 @@ def _sums_numpy(lam_disk, dnorm2_tab, gain_tab, dn2_const, gain_const,
     sums = np.empty(n_blocks * per_block, dtype=np.float64)
     for b in range(n_blocks):
         rng = np.random.Generator(np.random.PCG64(int(block_seeds[b])))
-        _block_numpy(
+        _block(
             rng,
             lam_ann,
             dn2_lo,
@@ -250,30 +145,3 @@ def _sums_numpy(lam_disk, dnorm2_tab, gain_tab, dn2_const, gain_const,
         )
     scale = float(c_point) * (float(gain_tab[0]) if gain_const else 1.0)
     return scale * sums[:n_samples]
-
-
-def sample_sums(
-    lam_disk: float,
-    dnorm2_tab: np.ndarray,
-    gain_tab: np.ndarray,
-    c_point: float,
-    half_neg: float,
-    n_samples: int,
-    seed: int,
-    backend: str | None = None,
-) -> np.ndarray:
-    """Draw ``n_samples`` aggregate-interference sums on the chosen backend."""
-    chosen = resolve_backend(backend)
-    dnorm2_tab = np.ascontiguousarray(dnorm2_tab, dtype=np.float64)
-    gain_tab = np.ascontiguousarray(gain_tab, dtype=np.float64)
-    n_tab = dnorm2_tab.shape[0]
-    if n_tab & (n_tab - 1) != 0:
-        raise ValueError("table length must be a power of two")
-    if gain_tab.shape[0] != n_tab:
-        raise ValueError("tables must have equal length")
-    dn2_const = bool(np.all(dnorm2_tab == dnorm2_tab[0]))
-    gain_const = bool(np.all(gain_tab == gain_tab[0]))
-    k_pow = int(round(-half_neg)) if -half_neg == round(-half_neg) else 0
-    driver = _sums_numba if chosen == "numba" else _sums_numpy
-    return driver(lam_disk, dnorm2_tab, gain_tab, dn2_const, gain_const,
-                  c_point, k_pow, half_neg, n_samples, seed)

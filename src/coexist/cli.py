@@ -29,6 +29,7 @@ from .config import (
     ParseError,
     Scenario,
     ValidationError,
+    check_field,
     load_scenario,
     resolve_grid,
 )
@@ -303,7 +304,7 @@ def _cmd_detect(scenario: Scenario, tracker: _OutputTracker, opts) -> Dict[str, 
         "max_range_degraded_m": max_range(radar, degraded, target.rcs_m2),
     }
     if "distance_m" in scenario.sweeps:
-        grid = resolve_grid(scenario.sweeps["distance_m"], "distance_m")
+        grid = resolve_grid(scenario.sweeps["distance_m"], "sweeps.distance_m")
         rows = []
         for d in grid:
             probe = Target(range_m=d, rcs_m2=target.rcs_m2)
@@ -336,7 +337,13 @@ def _cmd_imax(scenario: Scenario, tracker: _OutputTracker, opts) -> Dict[str, An
     }
     if "pd_drop" in scenario.sweeps:
         baseline_roc, _ = scenario.roc_pair()
-        grid = resolve_grid(scenario.sweeps["pd_drop"], "pd_drop")
+        grid = resolve_grid(scenario.sweeps["pd_drop"], "sweeps.pd_drop")
+        for drop in grid:
+            if not 0.0 < baseline_roc.pd - drop < 1.0:
+                raise ValidationError(
+                    f"sweeps.pd_drop: pd0 - drop = {baseline_roc.pd - drop} "
+                    "outside (0, 1)"
+                )
         sweep = inr_vs_performance_drop(
             scenario.radar,
             budget.baseline_snr_linear,
@@ -377,7 +384,7 @@ def _cmd_protect_single(
     if isinstance(scenario.pattern, AntennaPattern):
         results["sidelobe_distance_m"] = distance_at(90.0)
     if "theta_deg" in scenario.sweeps:
-        grid = resolve_grid(scenario.sweeps["theta_deg"], "theta_deg")
+        grid = resolve_grid(scenario.sweeps["theta_deg"], "sweeps.theta_deg")
     else:
         grid = [float(t) for t in np.linspace(-180.0, 180.0, 721)]
     rows = [
@@ -433,7 +440,9 @@ def _cmd_protect_multi(
     )
 
     if "density_per_m2" in scenario.sweeps:
-        grid = resolve_grid(scenario.sweeps["density_per_m2"], "density_per_m2")
+        grid = resolve_grid(
+            scenario.sweeps["density_per_m2"], "sweeps.density_per_m2"
+        )
         rows = []
         for density in grid:
             sub_scenario = replace(
@@ -506,7 +515,7 @@ def _cmd_throughput(
     results.update(policy_results)
 
     if "distance_m" in scenario.sweeps:
-        grid = resolve_grid(scenario.sweeps["distance_m"], "distance_m")
+        grid = resolve_grid(scenario.sweeps["distance_m"], "sweeps.distance_m")
         rows = []
         for d in grid:
             rows.append(
@@ -542,7 +551,6 @@ def _cmd_validate_mc(
     seed = opts.seed if opts.seed is not None else mc["seed"]
     n_samples = opts.samples if opts.samples is not None else mc["samples"]
     outer_radius = mc["outer_radius_m"]
-    backend = _mc_kernels.resolve_backend(mc.get("backend"))
 
     profile_cfg = mc["profile"]
     if profile_cfg["type"] == "constant":
@@ -570,7 +578,6 @@ def _cmd_validate_mc(
         outer_radius,
         n_samples,
         seed,
-        backend=backend,
     )
     mean_emp = float(np.mean(samples))
     var_emp = float(np.var(samples, ddof=1))
@@ -598,7 +605,7 @@ def _cmd_validate_mc(
         rows,
     )
     return {
-        "backend": backend,
+        "backend": _mc_kernels.resolve_backend(),
         "n_samples": n_samples,
         "outer_radius_m": outer_radius,
         "mean_analytic_w": stats.mean_w,
@@ -671,6 +678,10 @@ def run_command(
     """
     if command not in _COMMANDS:
         raise ValidationError(f"unknown command {command!r}")
+    # overrides bypass the scenario file, so check them against its schema
+    for path, value in (("mc.seed", seed), ("mc.samples", samples)):
+        if value is not None:
+            check_field(path, value)
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     fmt = fmt if fmt is not None else scenario.output_format

@@ -9,6 +9,7 @@ defaults.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field as dataclass_field
@@ -89,7 +90,9 @@ _FiniteNumberValidator = jsonschema.validators.extend(
 )
 
 
+@functools.cache
 def _load_schema() -> Dict[str, Any]:
+    # read once per process; callers only read the returned dict
     with resources.files("coexist.schema").joinpath("scenario.json").open() as fh:
         return json.load(fh)
 
@@ -232,18 +235,31 @@ def load_scenario(path: str | Path) -> Scenario:
     )
 
 
+def check_field(path: str, value: Any) -> None:
+    """Validate one value against the schema entry at dotted ``path``.
+
+    For values that bypass the scenario file, such as CLI overrides.
+    """
+    node = _load_schema()
+    for key in path.split("."):
+        node = node["properties"][key]
+    err = next(_FiniteNumberValidator(node).iter_errors(value), None)
+    if err is not None:
+        raise ValidationError(f"{path}: {err.message}")
+
+
 def resolve_grid(spec: Dict[str, Any], name: str) -> list[float]:
-    """Materialise a sweep grid spec into a sorted list of floats."""
+    """Materialise the grid spec at dotted path ``name`` into sorted floats."""
     if "values" in spec:
         values = [float(v) for v in spec["values"]]
         if any(values[i] >= values[i + 1] for i in range(len(values) - 1)):
-            raise ValidationError(f"sweeps.{name}.values must be strictly increasing")
+            raise ValidationError(f"{name}.values must be strictly increasing")
         return values
     start, stop, count = spec["start"], spec["stop"], spec["count"]
     if not start < stop:
-        raise ValidationError(f"sweeps.{name}: start must be below stop")
+        raise ValidationError(f"{name}: start must be below stop")
     if spec.get("spacing", "linear") == "log":
         if not start > 0:
-            raise ValidationError(f"sweeps.{name}: log spacing requires start > 0")
+            raise ValidationError(f"{name}: log spacing requires start > 0")
         return [float(v) for v in np.geomspace(start, stop, count)]
     return [float(v) for v in np.linspace(start, stop, count)]

@@ -602,7 +602,6 @@ def sample_aggregate(
     outer_radius_m: float,
     n_samples: int,
     seed: int,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Monte Carlo samples of the aggregate interference power.
 
@@ -611,9 +610,8 @@ def sample_aggregate(
     smallest keep-out distance and thinned against the contour, which
     realises the annulus process exactly) and sums
     P_SU * G(theta) * l(r) / FDR over the points.  Gain and contour are
-    tabulated on ``PROFILE_TABLE_SIZE`` azimuth bins; the numpy backend
-    reads the bin a point falls in, the numba backend interpolates
-    between bins.
+    tabulated on ``PROFILE_TABLE_SIZE`` azimuth bins, and a point reads the
+    bin it falls in, as the Campbell quadrature does.
 
     The truncated field misses analytic mean mass proportional to
     outer_radius^(2-alpha); if that exceeds 1% of the untruncated mean the
@@ -621,13 +619,11 @@ def sample_aggregate(
     ``campbell_stats(..., outer_radius_m=...)``, which integrates over the
     same annulus.
 
-    Deterministic for a fixed (seed, n_samples, backend) and prefix-stable
-    in n_samples: samples are generated in blocks whose size depends on the
-    scenario but not on ``n_samples`` (about 65k expected points per block
-    on numpy, 250 samples per chunk on numba), each block seeded
-    independently from a SeedSequence derived from ``seed``.  The numba
-    and numpy backends draw different streams, so they are deterministic
-    individually but do not reproduce each other bit-for-bit.
+    Deterministic for a fixed (seed, n_samples) and prefix-stable in
+    n_samples: samples are generated in blocks whose size depends on the
+    scenario but not on ``n_samples`` (about 65k expected points per
+    block), each block seeded independently from a SeedSequence derived
+    from ``seed``.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -654,5 +650,4 @@ def sample_aggregate(
         half_neg=-alpha / 2.0,
         n_samples=n_samples,
         seed=seed,
-        backend=backend,
     )

@@ -278,7 +278,7 @@ def test_criterion_7_monte_carlo_agreement():
         ok,
         f"mean err {mean_err * 100:.3f}% (want <=2%), variance err "
         f"{var_err * 100:.3f}% (want <=5%), tails within 99% CI [{tails}], "
-        f"{elapsed:.1f} s on the {resolve_backend(None)} kernel (want <60)",
+        f"{elapsed:.1f} s on the {resolve_backend()} kernel (want <60)",
     )
 
 

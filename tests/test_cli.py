@@ -267,10 +267,12 @@ def test_fit_pathloss_recovers_power_law(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_validate_mc_reruns_are_byte_identical(tmp_path):
+def test_validate_mc_reruns_are_byte_identical(tmp_path, monkeypatch):
     args = ["validate-mc", "--config", "type_b_radar", "--seed", "42", "--samples", "200"]
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(args + ["--out", str(out1)]) == 0
+    # the sampler has one kernel; a leftover backend variable changes nothing
+    monkeypatch.setenv("COEXIST_BACKEND", "numba")
     assert main(args + ["--out", str(out2)]) == 0
 
     names = sorted(p.name for p in out1.iterdir())
@@ -286,7 +288,7 @@ def test_validate_mc_reruns_are_byte_identical(tmp_path):
     results = summary["results"]
     assert results["n_samples"] == 200
     # the backend that actually ran, never the "auto" placeholder
-    assert results["backend"] == _mc_kernels.resolve_backend(None)
+    assert results["backend"] == _mc_kernels.resolve_backend()
     assert isinstance(results["exceedance_all_within_ci99"], bool)
 
     header, rows = _csv_rows(out1 / "validate_mc.csv")
@@ -371,11 +373,91 @@ def test_cli_import_does_not_load_scipy():
     src = str(Path(coexist.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, coexist.cli; print('scipy' in sys.modules)"
+    code = "import sys, coexist.cli; print('scipy' in sys.modules, 'numba' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [("--samples", "0", "mc.samples"), ("--samples", "-3", "mc.samples"),
+     ("--seed", "-1", "mc.seed")],
+)
+def test_override_outside_schema_exits_3(tmp_path, capsys, flag, value, field):
+    out = tmp_path / "o"
+    rc = main(["validate-mc", "--config", "type_b_radar", flag, value, "--out", str(out)])
+    assert rc == 3
+    assert f"error: {field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ({"values": [1.0, 3.0, 2.0]},
+         "policy.beta_grid.values must be strictly increasing"),
+        ({"start": 4.0, "stop": 2.0, "count": 5},
+         "policy.beta_grid: start must be below stop"),
+        ({"values": [1.0, 2.0]}, "policy.beta_grid.values:"),
+        ({"start": 1.0, "stop": 8.0, "count": 2}, "policy.beta_grid.count:"),
+        ({"values": [0.5, 2.0, 3.0]}, "policy.beta_grid.values.0:"),
+        ({"start": 0.5, "stop": 8.0, "count": 5}, "policy.beta_grid.start:"),
+    ],
+)
+def test_bad_beta_grid_exits_3(tmp_path, capsys, grid, message):
+    def set_grid(cfg):
+        cfg["policy"] = {"type": "main-side-lobe", "beta_grid": grid}
+
+    config = _variant(tmp_path, "type_b_radar", set_grid)
+    rc = main(["protect-multi", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert message in err
+    assert "sweeps." not in err
+
+
+@pytest.mark.parametrize(
+    "grid, field",
+    [
+        ({"values": [0.0, 190.0]}, "sweeps.theta_deg.values.1:"),
+        ({"start": -200.0, "stop": 0.0, "count": 5}, "sweeps.theta_deg.start:"),
+        ({"start": 0.0, "stop": 180.5, "count": 5}, "sweeps.theta_deg.stop:"),
+    ],
+)
+def test_theta_sweep_outside_circle_exits_3(tmp_path, capsys, grid, field):
+    def set_sweep(cfg):
+        cfg["sweeps"]["theta_deg"] = grid
+
+    config = _variant(tmp_path, "type_b_radar", set_sweep)
+    rc = main(["protect-single", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("drops", [[0.01, 0.95], [-0.2, 0.1]])
+def test_pd_drop_sweep_outside_unit_interval_exits_3(tmp_path, capsys, drops):
+    # the fixture's baseline pd is 0.9: 0.9 - 0.95 < 0 and 0.9 + 0.2 > 1
+    def set_sweep(cfg):
+        cfg["sweeps"]["pd_drop"] = {"values": drops}
+
+    config = _variant(tmp_path, "type_b_radar", set_sweep)
+    rc = main(["imax", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert "sweeps.pd_drop: pd0 - drop =" in capsys.readouterr().err
+
+
+def test_mc_backend_key_exits_3(tmp_path, capsys):
+    def pick_backend(cfg):
+        cfg["mc"]["backend"] = "numpy"
+
+    config = _variant(tmp_path, "type_b_radar", pick_backend)
+    rc = main(["validate-mc", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: mc:")
+    assert "backend" in err
 
 
 def test_unknown_key_exits_3(tmp_path, capsys):

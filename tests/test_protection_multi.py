@@ -376,7 +376,7 @@ def _directional_case() -> dict:
     pattern, model = _pattern(), _model()
     profile = policy_profile(OptimalPolicy(gamma=500.0, alpha=model.alpha), pattern)
     return dict(field=_field(), su=_su(), pattern=pattern, model=model, fdr=1.0,
-                profile=profile, outer_radius_m=25e3, backend="numpy")
+                profile=profile, outer_radius_m=25e3)
 
 
 def _points_per_sample(case: dict) -> float:
@@ -450,46 +450,3 @@ def test_sampler_rejects_severe_truncation():
             field, _su(), iso, model, 1.0, _const_profile(1000.0), 1100.0,
             n_samples=100, seed=0,
         )
-
-
-def test_sampler_backend_selection(monkeypatch):
-    from coexist import _mc_kernels
-
-    field = DeploymentField(1e-4, 1.0, 0.1)
-    iso = ConstantGain(gain_dbi=0.0)
-    model = PowerLawPathLoss(k0=1.0, alpha=6.0)
-    kwargs = dict(fdr=1.0, profile=_const_profile(1000.0), outer_radius_m=4000.0,
-                  n_samples=300, seed=5)
-    with pytest.raises(ValueError):
-        sample_aggregate(field, _su(), iso, model, backend="fortran", **kwargs)
-    # env flag steers the default backend
-    monkeypatch.setenv("COEXIST_BACKEND", "numpy")
-    assert _mc_kernels.resolve_backend(None) == "numpy"
-    monkeypatch.setenv("COEXIST_BACKEND", "vax")
-    with pytest.raises(ValueError):
-        _mc_kernels.resolve_backend(None)
-    monkeypatch.delenv("COEXIST_BACKEND")
-    # numpy backend stands alone: deterministic for its own seed
-    a = sample_aggregate(field, _su(), iso, model, backend="numpy", **kwargs)
-    b = sample_aggregate(field, _su(), iso, model, backend="numpy", **kwargs)
-    assert np.array_equal(a, b)
-
-
-def test_sampler_backends_agree_on_moments():
-    # different RNG streams, same distribution: compare first two moments
-    # loosely at 2000 samples
-    field = DeploymentField(1e-4, 1.0, 0.1)
-    iso = ConstantGain(gain_dbi=0.0)
-    model = PowerLawPathLoss(k0=1.0, alpha=6.0)
-    prof = _const_profile(1000.0)
-    kwargs = dict(fdr=1.0, profile=prof, outer_radius_m=4000.0, n_samples=2000, seed=13)
-    from coexist._mc_kernels import HAS_NUMBA
-
-    if not HAS_NUMBA:
-        pytest.skip("numba not installed")
-    x_np = sample_aggregate(field, _su(), iso, model, backend="numpy", **kwargs)
-    x_nb = sample_aggregate(field, _su(), iso, model, backend="numba", **kwargs)
-    stats = campbell_stats(field, _su(), iso, model, prof, 1.0, outer_radius_m=4000.0)
-    se = stats.std_w / math.sqrt(2000.0)
-    assert abs(x_np.mean() - stats.mean_w) < 5.0 * se
-    assert abs(x_nb.mean() - stats.mean_w) < 5.0 * se
