@@ -9,6 +9,8 @@ under radar strobes.  The ``coexist`` CLI drives the same library from
 JSON scenario files.
 """
 
+from types import ModuleType as _ModuleType
+
 from .numerics import (
     DegenerateFit,
     NoConvergence,
@@ -16,7 +18,6 @@ from .numerics import (
     RootBracket,
     db_to_linear,
     fit_power_law,
-    integrate_periodic,
     linear_to_db,
     q_inverse,
     q_tail,
@@ -42,7 +43,6 @@ from .propagation import (
     INFINITE_REJECTION,
     AntennaPattern,
     ConstantGain,
-    OutOfRange,
     Pattern,
     PathLossModel,
     PowerLawPathLoss,
@@ -114,101 +114,10 @@ from .config import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # numerics
-    "DegenerateFit",
-    "NoConvergence",
-    "NoSignChange",
-    "RootBracket",
-    "db_to_linear",
-    "fit_power_law",
-    "integrate_periodic",
-    "linear_to_db",
-    "q_inverse",
-    "q_tail",
-    "solve_root",
-    # radar detection
-    "RocPoint",
-    "RadarSystem",
-    "Target",
-    "albersheim_snr_linear",
-    "effective_snr",
-    "max_range",
-    "noise_power_w",
-    "pd_high_snr",
-    "pfa_from_threshold",
-    "pulses_per_scan",
-    "single_pulse_snr",
-    "snr_required_albersheim",
-    "snr_required_noncoherent",
-    "threshold_from_pfa",
-    # propagation
-    "INFINITE_REJECTION",
-    "AntennaPattern",
-    "ConstantGain",
-    "OutOfRange",
-    "Pattern",
-    "PathLossModel",
-    "PowerLawPathLoss",
-    "TabulatedPathLoss",
-    "attenuation",
-    "fdr_cochannel",
-    "fdr_general",
-    "gain_dbi",
-    "gain_linear",
-    "half_power_beamwidth_deg",
-    "invert_attenuation",
-    # single-interferer protection
-    "INFINITE_DISTANCE",
-    "InterferenceBudget",
-    "SecondaryUser",
-    "inr_vs_performance_drop",
-    "max_tolerable_interference",
-    "protection_distance",
-    "received_interference_w",
-    "single_user_gamma",
-    # deployment-field protection
-    "CampbellStats",
-    "ConvergenceViolation",
-    "DeploymentField",
-    "MainSideLobePolicy",
-    "OptimalPolicy",
-    "OptimalityViolation",
-    "RadarBlindPolicy",
-    "SharingPolicy",
-    "TruncationTooSevere",
-    "campbell_stats",
-    "default_lobe_width_rad",
-    "optimize_beta",
-    "outage_probability",
-    "policy_profile",
-    "profile_area_m2",
-    "protected_area_m2",
-    "rescale_to_constraint",
-    "sample_aggregate",
-    "solve_main_side",
-    "solve_optimal_profile",
-    "solve_radar_blind",
-    "verify_local_optimality",
-    # WiFi link
-    "DEFAULT_80211N",
-    "McsEntry",
-    "McsTable",
-    "WifiLink",
-    "average_throughput",
-    "duty_factor",
-    "mcs_rate",
-    "radar_interference_w",
-    "throughput_trace",
-    "throughput_vs_time",
-    "wifi_noise_w",
-    "wifi_sinr",
-    # scenarios
-    "MissingSection",
-    "ParseError",
-    "Scenario",
-    "ValidationError",
-    "fixture_path",
-    "load_scenario",
-]
+# every public name imported above; the submodules themselves are not API
+__all__ = ["__version__"] + sorted(
+    name
+    for name, value in vars().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)
+del _ModuleType

@@ -20,7 +20,6 @@ TWO_PI = 2.0 * math.pi
 N_PANELS_DEFAULT = 4096  # azimuth grid: dozens of samples across the main lobe
 
 _STANDARD_NORMAL = NormalDist()
-_erfc_array = np.vectorize(math.erfc, otypes=[float])
 
 
 class NoSignChange(ValueError):
@@ -35,15 +34,13 @@ class DegenerateFit(ValueError):
     """Regression input does not span more than a single abscissa."""
 
 
-def q_tail(x):
+def q_tail(x: float) -> float:
     """Upper-tail probability Q(x) = P(Z > x) of the standard normal.
 
     Implemented as erfc(x/sqrt(2))/2 (Abramowitz & Stegun 26.2.29), which
     stays accurate deep into the tail (Q(40) underflows cleanly to 0.0
-    instead of producing NaN).  Accepts scalars or numpy arrays.
+    instead of producing NaN).
     """
-    if isinstance(x, np.ndarray):
-        return 0.5 * _erfc_array(x / math.sqrt(2.0))
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
@@ -134,29 +131,6 @@ def periodic_rule(values: np.ndarray) -> float:
     The trapezoid rule on this wrapped grid; every azimuth integral uses it.
     """
     return float(np.sum(values)) * (TWO_PI / np.size(values))
-
-
-def integrate_periodic(
-    f: Callable[[float], float], n_panels: int = N_PANELS_DEFAULT
-) -> float:
-    """Integrate ``f`` over one period [0, 2*pi) with :func:`periodic_rule`.
-
-    ``f`` takes an angle in radians; a vectorised callable (accepting a
-    numpy array) is used directly, otherwise the function falls back to
-    pointwise evaluation.
-    """
-    if n_panels < 8:
-        raise ValueError("n_panels must be at least 8")
-    theta = np.linspace(0.0, TWO_PI, n_panels, endpoint=False)
-    try:
-        values = np.asarray(f(theta), dtype=float)
-        if values.shape != theta.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        values = np.array([float(f(t)) for t in theta])
-    if not np.all(np.isfinite(values)):
-        raise ValueError("integrand produced non-finite values")
-    return periodic_rule(values)
 
 
 def fit_power_law(

@@ -21,9 +21,7 @@ from .numerics import db_to_linear
 INFINITE_REJECTION = float("inf")
 """Sentinel returned by fdr_general when the victim filter passes nothing."""
 
-
-class OutOfRange(ValueError):
-    """Requested inversion target lies outside the tabulated range."""
+FDR_GRID_POINTS = 65537  # uniform frequency grid of fdr_general's trapezoid sums
 
 
 @dataclass(frozen=True)
@@ -91,17 +89,25 @@ class TabulatedPathLoss:
 PathLossModel = Union[PowerLawPathLoss, TabulatedPathLoss]
 
 
-def _tabulated_attenuation(model: TabulatedPathLoss, distance_m: float) -> float:
-    log_d = np.log(np.asarray(model.distances_m))
-    log_a = np.log(np.asarray(model.attenuations))
-    x = math.log(distance_m)
-    if x < log_d[0]:
-        slope = (log_a[1] - log_a[0]) / (log_d[1] - log_d[0])
-        return math.exp(log_a[0] + slope * (x - log_d[0]))
-    if x > log_d[-1]:
-        slope = (log_a[-1] - log_a[-2]) / (log_d[-1] - log_d[-2])
-        return math.exp(log_a[-1] + slope * (x - log_d[-1]))
-    return math.exp(float(np.interp(x, log_d, log_a)))
+def _log_log_interp(x: float, xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Log-log interpolant through the samples (xs, ys) at x; xs increasing.
+
+    Piecewise linear in (log x, log y) between the samples; beyond either
+    end, the line through the two end samples.  Read forward (distance to
+    attenuation) and reversed (attenuation to distance), the two readings
+    are inverses of each other, tails included.
+    """
+    log_x = np.log(np.asarray(xs))
+    log_y = np.log(np.asarray(ys))
+    u = math.log(x)
+    if u < log_x[0]:
+        end, inner = 0, 1
+    elif u > log_x[-1]:
+        end, inner = -1, -2
+    else:
+        return math.exp(float(np.interp(u, log_x, log_y)))
+    slope = (log_y[inner] - log_y[end]) / (log_x[inner] - log_x[end])
+    return math.exp(float(log_y[end] + slope * (u - log_x[end])))
 
 
 def attenuation(model: PathLossModel, distance_m: float) -> float:
@@ -110,43 +116,23 @@ def attenuation(model: PathLossModel, distance_m: float) -> float:
         raise ValueError("distance_m must be positive")
     if isinstance(model, PowerLawPathLoss):
         return model.k0 * distance_m ** (-model.alpha)
-    return _tabulated_attenuation(model, distance_m)
+    return _log_log_interp(distance_m, model.distances_m, model.attenuations)
 
 
-def invert_attenuation(
-    model: PathLossModel, attenuation_target: float, extrapolate: bool = False
-) -> float:
+def invert_attenuation(model: PathLossModel, attenuation_target: float) -> float:
     """Distance at which the model's attenuation equals ``attenuation_target``.
 
-    Monotonicity of both model variants makes the inverse unique.  For a
-    tabulated model, targets outside the sampled attenuation span raise
-    OutOfRange unless ``extrapolate`` is set, in which case the two-point
-    power-law tails are inverted instead.
+    Monotonicity of both model variants makes the inverse unique.  A
+    tabulated model is inverted with the same log-log interpolant that
+    :func:`attenuation` reads, so targets outside the sampled span follow
+    the two-point power-law tails.
     """
     if not attenuation_target > 0.0:
         raise ValueError("attenuation_target must be positive")
     if isinstance(model, PowerLawPathLoss):
         return (model.k0 / attenuation_target) ** (1.0 / model.alpha)
-    a_first, a_last = model.attenuations[0], model.attenuations[-1]
-    if a_last <= attenuation_target <= a_first:
-        log_a = np.log(np.asarray(model.attenuations[::-1]))
-        log_d = np.log(np.asarray(model.distances_m[::-1]))
-        return math.exp(float(np.interp(math.log(attenuation_target), log_a, log_d)))
-    if not extrapolate:
-        raise OutOfRange(
-            f"target {attenuation_target} outside tabulated attenuation span "
-            f"[{a_last}, {a_first}]"
-        )
-    log_d = np.log(np.asarray(model.distances_m))
-    log_a = np.log(np.asarray(model.attenuations))
-    if attenuation_target > a_first:
-        slope = (log_a[1] - log_a[0]) / (log_d[1] - log_d[0])
-        return math.exp(
-            float(log_d[0] + (math.log(attenuation_target) - log_a[0]) / slope)
-        )
-    slope = (log_a[-1] - log_a[-2]) / (log_d[-1] - log_d[-2])
-    return math.exp(
-        float(log_d[-1] + (math.log(attenuation_target) - log_a[-1]) / slope)
+    return _log_log_interp(
+        attenuation_target, model.attenuations[::-1], model.distances_m[::-1]
     )
 
 
@@ -284,15 +270,15 @@ def fdr_general(
     tx_psd: Sequence[Tuple[float, float]],
     rx_filter: Sequence[Tuple[float, float]],
     delta_f_hz: float,
-    n_grid: int = 65537,
 ) -> float:
     """General frequency-dependent rejection from sampled spectra.
 
     FDR(df) = integral P(f) df / integral P(f) |H(f + df)|^2-style response,
-    both integrals by the trapezoid rule on a uniform grid spanning the
-    transmit PSD support.  Samples are interpolated linearly and treated as
-    zero outside their support.  Returns INFINITE_REJECTION when the victim
-    filter rejects everything (disjoint spectra).
+    both integrals by the trapezoid rule on a uniform grid of
+    ``FDR_GRID_POINTS`` points spanning the transmit PSD support.  Samples
+    are interpolated linearly and treated as zero outside their support.
+    Returns INFINITE_REJECTION when the victim filter rejects everything
+    (disjoint spectra).
     """
     tx = np.asarray(tx_psd, dtype=float)
     rx = np.asarray(rx_filter, dtype=float)
@@ -304,7 +290,7 @@ def fdr_general(
         raise ValueError("tx_psd must be non-negative with positive total power")
     if np.any(rx[:, 1] < 0.0) or np.any(rx[:, 1] > 1.0):
         raise ValueError("rx_filter response must lie in [0, 1]")
-    grid = np.linspace(tx[0, 0], tx[-1, 0], n_grid)
+    grid = np.linspace(tx[0, 0], tx[-1, 0], FDR_GRID_POINTS)
     psd = np.interp(grid, tx[:, 0], tx[:, 1], left=0.0, right=0.0)
     resp = np.interp(grid + delta_f_hz, rx[:, 0], rx[:, 1], left=0.0, right=0.0)
     numerator = np.trapezoid(psd, grid)

@@ -47,6 +47,9 @@ from . import _mc_kernels
 
 PROFILE_TABLE_SIZE = 16384
 
+OPTIMALITY_TOLERANCE = 1e-3  # largest relative area cut a perturbation may make
+RIPPLE_AMPLITUDE = 0.05  # relative peak of each optimality-check perturbation
+
 
 class ConvergenceViolation(ValueError):
     """Attenuation exponent too shallow for planar Campbell integrals."""
@@ -203,9 +206,13 @@ def policy_profile(
 def _profile_on_grid(
     profile: Callable[[np.ndarray], np.ndarray], theta: np.ndarray
 ) -> np.ndarray:
+    """The vectorised contour on the azimuth grid, checked for shape and sign."""
     values = np.asarray(profile(theta), dtype=float)
     if values.shape != theta.shape:
-        values = np.array([float(profile(t)) for t in theta])
+        raise ValueError(
+            f"protection profile must map an azimuth array of shape {theta.shape} "
+            f"to the same shape, got {values.shape}"
+        )
     if np.any(values <= 0.0):
         raise ValueError("protection profile must be strictly positive")
     return values
@@ -258,7 +265,6 @@ def campbell_stats(
     profile: Callable[[np.ndarray], np.ndarray],
     fdr: float,
     outer_radius_m: float | None = None,
-    n_panels: int = N_PANELS_DEFAULT,
 ) -> CampbellStats:
     """Campbell mean and variance of the aggregate interference.
 
@@ -270,7 +276,7 @@ def campbell_stats(
     Carlo sampler that truncates the field at the same radius.
     """
     model = _require_power_law(model)
-    theta, gains = gain_grid(pattern, n_panels)
+    theta, gains = gain_grid(pattern)
     d = _profile_on_grid(profile, theta)
     m1, m2 = _campbell_moments(gains, d, model.alpha, outer_radius_m)
     c_mu, c_sigma2 = _prefactors(field, su, model, fdr)
@@ -326,7 +332,6 @@ def solve_optimal_profile(
     model: PathLossModel,
     fdr: float,
     i_max_w: float,
-    n_panels: int = N_PANELS_DEFAULT,
 ) -> OptimalPolicy:
     """Area-minimal contour meeting the outage constraint with equality.
 
@@ -336,7 +341,7 @@ def solve_optimal_profile(
     A = C_mu * J and B = Qinv(p) * sqrt(C_s2 * J), J = int G^(2/alpha).
     """
     model = _require_power_law(model)
-    _, gains = gain_grid(pattern, n_panels)
+    _, gains = gain_grid(pattern)
     j_integral = periodic_rule(gains ** (2.0 / model.alpha))
     gamma = _scale_onto_constraint(
         field, su, model, fdr, i_max_w, j_integral, j_integral
@@ -351,11 +356,10 @@ def solve_radar_blind(
     model: PathLossModel,
     fdr: float,
     i_max_w: float,
-    n_panels: int = N_PANELS_DEFAULT,
 ) -> RadarBlindPolicy:
     """Constant keep-out distance meeting the outage constraint with equality."""
     model = _require_power_law(model)
-    _, gains = gain_grid(pattern, n_panels)
+    _, gains = gain_grid(pattern)
     d_min = _scale_onto_constraint(
         field, su, model, fdr, i_max_w, periodic_rule(gains), periodic_rule(gains**2)
     )
@@ -364,13 +368,13 @@ def solve_radar_blind(
 
 @lru_cache(maxsize=32)
 def _split_gain_integrals(
-    pattern: Pattern, lobe_width_rad: float, n_panels: int
+    pattern: Pattern, lobe_width_rad: float
 ) -> Tuple[float, float, float, float]:
     """(main, side) integrals of G and G^2 over the lobe window and its complement.
 
     Cached: they do not depend on beta, which optimize_beta varies.
     """
-    theta, gains = gain_grid(pattern, n_panels)
+    theta, gains = gain_grid(pattern)
     wrapped = np.remainder(theta + np.pi, TWO_PI) - np.pi
     in_main = np.abs(wrapped) <= lobe_width_rad / 2.0
     main, side = gains * in_main, gains * ~in_main
@@ -386,7 +390,6 @@ def solve_main_side(
     i_max_w: float,
     beta: float,
     lobe_width_rad: float,
-    n_panels: int = N_PANELS_DEFAULT,
 ) -> MainSideLobePolicy:
     """Two-ring contour with a fixed d_max/d_min ratio ``beta``.
 
@@ -400,9 +403,7 @@ def solve_main_side(
         raise ValueError("beta must be >= 1")
     model = _require_power_law(model)
     alpha = model.alpha
-    main_g, side_g, main_g2, side_g2 = _split_gain_integrals(
-        pattern, lobe_width_rad, n_panels
-    )
+    main_g, side_g, main_g2, side_g2 = _split_gain_integrals(pattern, lobe_width_rad)
     xi1 = side_g + beta ** (2.0 - alpha) * main_g
     xi2 = side_g2 + beta ** (2.0 - 2.0 * alpha) * main_g2
     d_min = _scale_onto_constraint(field, su, model, fdr, i_max_w, xi1, xi2)
@@ -427,7 +428,6 @@ def optimize_beta(
     i_max_w: float,
     lobe_width_rad: float,
     beta_grid: Sequence[float] | None = None,
-    n_panels: int = N_PANELS_DEFAULT,
 ) -> Tuple[float, MainSideLobePolicy]:
     """Pick the d_max/d_min ratio minimising the total two-ring area.
 
@@ -449,8 +449,7 @@ def optimize_beta(
     def area_at(beta: float) -> float:
         return _two_ring_area_m2(
             solve_main_side(
-                field, su, pattern, model, fdr, i_max_w, beta, lobe_width_rad,
-                n_panels,
+                field, su, pattern, model, fdr, i_max_w, beta, lobe_width_rad
             )
         )
 
@@ -477,22 +476,19 @@ def optimize_beta(
     if beta_opt < 1.0:
         beta_opt = 1.0
     policy = solve_main_side(
-        field, su, pattern, model, fdr, i_max_w, beta_opt, lobe_width_rad, n_panels
+        field, su, pattern, model, fdr, i_max_w, beta_opt, lobe_width_rad
     )
     return beta_opt, policy
 
 
-def profile_area_m2(
-    profile: Callable[[np.ndarray], np.ndarray], n_panels: int = N_PANELS_DEFAULT
-) -> float:
+def profile_area_m2(profile: Callable[[np.ndarray], np.ndarray]) -> float:
     """Enclosed area of a polar contour, int d(theta)^2 / 2 dtheta."""
-    theta = np.linspace(0.0, TWO_PI, n_panels, endpoint=False)
+    theta = np.linspace(0.0, TWO_PI, N_PANELS_DEFAULT, endpoint=False)
     return periodic_rule(_profile_on_grid(profile, theta) ** 2) / 2.0
 
 
 def protected_area_m2(
-    policy: SharingPolicy, pattern: Pattern, model: PathLossModel,
-    n_panels: int = N_PANELS_DEFAULT,
+    policy: SharingPolicy, pattern: Pattern, model: PathLossModel
 ) -> float:
     """Total keep-out area enclosed by the policy's contour."""
     if isinstance(policy, RadarBlindPolicy):
@@ -501,7 +497,7 @@ def protected_area_m2(
         return _two_ring_area_m2(policy)
     if isinstance(policy, OptimalPolicy):
         model = _require_power_law(model)
-        _, gains = gain_grid(pattern, n_panels)
+        _, gains = gain_grid(pattern)
         return policy.gamma**2 * periodic_rule(gains ** (2.0 / policy.alpha)) / 2.0
     raise TypeError(f"unknown policy type {type(policy)!r}")
 
@@ -514,7 +510,6 @@ def rescale_to_constraint(
     profile: Callable[[np.ndarray], np.ndarray],
     fdr: float,
     i_max_w: float,
-    n_panels: int = N_PANELS_DEFAULT,
 ) -> float:
     """Scale factor t pinning t*d(theta) onto the outage constraint.
 
@@ -523,7 +518,7 @@ def rescale_to_constraint(
     declining scalar equation the policy solvers use.
     """
     model = _require_power_law(model)
-    theta, gains = gain_grid(pattern, n_panels)
+    theta, gains = gain_grid(pattern)
     m1, m2 = _campbell_moments(gains, _profile_on_grid(profile, theta), model.alpha)
     return _scale_onto_constraint(field, su, model, fdr, i_max_w, m1, m2)
 
@@ -547,19 +542,17 @@ def verify_local_optimality(
     i_max_w: float,
     n_perturbations: int = 100,
     seed: int = 0,
-    tolerance: float = 1e-3,
-    amplitude: float = 0.05,
-    n_panels: int = N_PANELS_DEFAULT,
 ) -> OptimalityReport:
     """Empirical check that the solved contour is a local area minimum.
 
-    Each trial deforms the contour with a random low-order Fourier ripple,
-    rescales it back onto the outage constraint, and compares areas.  If
-    any constraint-restored deformation undercuts the solved area by more
-    than ``tolerance`` (relative), OptimalityViolation is raised.
+    Each trial deforms the contour with a random low-order Fourier ripple
+    of relative peak ``RIPPLE_AMPLITUDE``, rescales it back onto the outage
+    constraint, and compares areas.  If any constraint-restored deformation
+    undercuts the solved area by more than ``OPTIMALITY_TOLERANCE``
+    (relative), OptimalityViolation is raised.
     """
     model = _require_power_law(model)
-    theta, gains = gain_grid(pattern, n_panels)
+    theta, gains = gain_grid(pattern)
     # the policy's own contour (its exponent, not the model's): a policy
     # built with the wrong exponent must fail this check, not be silently
     # replaced by the correct shape
@@ -575,20 +568,22 @@ def verify_local_optimality(
         peak = float(np.max(np.abs(ripple)))
         if peak == 0.0:
             continue
-        d_eps = d0 * (1.0 + amplitude * ripple / peak)
+        d_eps = d0 * (1.0 + RIPPLE_AMPLITUDE * ripple / peak)
         m1, m2 = _campbell_moments(gains, d_eps, model.alpha)
         t = _scale_onto_constraint(field, su, model, fdr, i_max_w, m1, m2)
         area_eps = t**2 * periodic_rule(d_eps**2) / 2.0
         reduction = 1.0 - area_eps / area0
         if reduction > worst:
             worst = reduction
-        if reduction > tolerance:
+        if reduction > OPTIMALITY_TOLERANCE:
             raise OptimalityViolation(
                 f"perturbation {trial} (seed {seed}) reduced the area by "
-                f"{reduction:.3e} (> {tolerance:.1e})"
+                f"{reduction:.3e} (> {OPTIMALITY_TOLERANCE:.1e})"
             )
     return OptimalityReport(
-        n_trials=n_perturbations, worst_area_reduction=worst, tolerance=tolerance
+        n_trials=n_perturbations,
+        worst_area_reduction=worst,
+        tolerance=OPTIMALITY_TOLERANCE,
     )
 
 

@@ -171,7 +171,7 @@ def protection_distance(
     target = rejection * budget.i_max_w / (
         su.eirp_w * gain_linear(pattern, theta_deg)
     )
-    return invert_attenuation(model, target, extrapolate=True)
+    return invert_attenuation(model, target)
 
 
 def single_user_gamma(

@@ -108,13 +108,6 @@ def wifi_noise_w(link: WifiLink) -> float:
     )
 
 
-def _normalize_mode(mode: str) -> str:
-    m = mode.strip().lower()
-    if m not in ("peak", "averaged"):
-        raise ValueError(f"mode must be 'peak' or 'averaged', got {mode!r}")
-    return m
-
-
 def radar_interference_w(
     radar: RadarSystem,
     su: SecondaryUser,
@@ -142,7 +135,8 @@ def _radar_power_w(
     """P_T * G_SU * gain * l(d), times PW * f_R if averaged; gain may be an array."""
     if not distance_m > 0.0:
         raise ValueError("distance_m must be positive")
-    mode = _normalize_mode(mode)
+    if mode not in ("peak", "averaged"):
+        raise ValueError(f"mode must be 'peak' or 'averaged', got {mode!r}")
     power = (
         radar.tx_power_w
         * db_to_linear(su.antenna_gain_dbi)

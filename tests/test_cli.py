@@ -505,16 +505,55 @@ def test_single_user_policy_rejected_for_field_study(tmp_path, capsys):
 
 
 def test_failed_run_removes_partial_outputs(tmp_path, capsys):
-    # the throughput trace is written before the distance sweep runs; a sweep
-    # point the schema cannot catch (negative distance) must fail the run AND
-    # remove the table that was already on disk
+    # the contour table is written before the density sweep runs; a density
+    # the schema accepts but the solver cannot bracket (its scale overflows)
+    # must fail the run AND remove the table that was already on disk
     def poison_sweep(cfg):
-        cfg["sweeps"]["distance_m"] = {"values": [-100.0, 5000.0]}
+        cfg["sweeps"]["density_per_m2"] = {"values": [1e-6, 1e300]}
 
-    config = _variant(tmp_path, "wifi_sharing", poison_sweep)
+    config = _variant(tmp_path, "type_b_radar", poison_sweep)
     out = tmp_path / "out"
-    rc = main(["throughput", "--config", str(config), "--out", str(out)])
+    rc = main(["protect-multi", "--config", str(config), "--out", str(out)])
     assert rc == 5
-    assert "positive" in capsys.readouterr().err
+    assert "bracket requires lo < hi" in capsys.readouterr().err
     assert out.is_dir()
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, base, sweep, grid, field",
+    [
+        ("throughput", "wifi_sharing", "distance_m", {"values": [-100.0, 5000.0]},
+         "sweeps.distance_m.values.0:"),
+        ("detect", "type_b_radar", "distance_m",
+         {"start": 0.0, "stop": 5000.0, "count": 3}, "sweeps.distance_m.start:"),
+        ("protect-multi", "type_b_radar", "density_per_m2", {"values": [-1e-6, 1e-6]},
+         "sweeps.density_per_m2.values.0:"),
+        ("protect-multi", "type_b_radar", "density_per_m2",
+         {"start": -1e-6, "stop": 1e-6, "count": 3}, "sweeps.density_per_m2.start:"),
+    ],
+)
+def test_non_positive_sweep_exits_3(tmp_path, capsys, command, base, sweep, grid, field):
+    def set_sweep(cfg):
+        cfg["sweeps"][sweep] = grid
+
+    config = _variant(tmp_path, base, set_sweep)
+    out = tmp_path / "o"
+    rc = main([command, "--config", str(config), "--out", str(out)])
+    assert rc == 3
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unread_beta_sweep_exits_3(tmp_path, capsys):
+    # no command reads a beta sweep, so the schema refuses one instead of
+    # running and silently ignoring it
+    def set_sweep(cfg):
+        cfg["sweeps"]["beta"] = {"values": [1.0, 2.0, 4.0]}
+
+    config = _variant(tmp_path, "type_b_radar", set_sweep)
+    rc = main(["protect-multi", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweeps:")
+    assert "'beta' was unexpected" in err

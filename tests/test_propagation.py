@@ -11,7 +11,6 @@ from coexist.propagation import (
     INFINITE_REJECTION,
     AntennaPattern,
     ConstantGain,
-    OutOfRange,
     PowerLawPathLoss,
     TabulatedPathLoss,
     attenuation,
@@ -69,10 +68,14 @@ def test_tabulated_inversion_and_out_of_range():
     model = TabulatedPathLoss(d, tuple(k0 * x**-alpha for x in d))
     target = k0 * 500.0**-alpha
     assert_allclose(invert_attenuation(model, target), 500.0, rtol=1e-12)
-    outside = k0 * 20000.0**-alpha
-    with pytest.raises(OutOfRange):
-        invert_attenuation(model, outside)
-    assert_allclose(invert_attenuation(model, outside, extrapolate=True), 20000.0, rtol=1e-12)
+    # targets beyond either end of the table follow the two-point tails
+    for outside in (20000.0, 50.0):
+        assert_allclose(invert_attenuation(model, k0 * outside**-alpha), outside, rtol=1e-12)
+    # on a table that is no single power law the inverse still undoes
+    # attenuation() everywhere, inside the table and past both ends
+    bent = TabulatedPathLoss((50.0, 200.0, 1500.0, 9000.0), (3e-3, 1e-5, 2e-8, 1e-11))
+    for x in (1.0, 10.0, 50.0, 120.0, 200.0, 700.0, 9000.0, 2e4, 1e7):
+        assert_allclose(invert_attenuation(bent, attenuation(bent, x)), x, rtol=1e-12)
 
 
 def test_tabulated_validation():

@@ -211,6 +211,15 @@ def test_campbell_rejects_profile_beyond_outer_radius():
         )
 
 
+def test_campbell_rejects_scalar_profile():
+    # profiles are vectorised over the azimuth grid; a callable that returns
+    # one number for the whole grid is refused, not evaluated point by point
+    with pytest.raises(ValueError, match="shape"):
+        campbell_stats(_field(), _su(), _pattern(), _model(), lambda theta: 2000.0, FDR)
+    with pytest.raises(ValueError, match="shape"):
+        profile_area_m2(lambda theta: np.full(7, 2000.0))
+
+
 def test_outage_probability():
     stats = CampbellStats(mean_w=1.0, variance_w2=4.0, c_mu=0.0, c_sigma2=0.0)
     assert_allclose(outage_probability(stats, 1.0 + 2.0 * 1.2815515655446006), 0.1, rtol=1e-10)

@@ -137,8 +137,10 @@ def test_peak_vs_averaged_interference_ratio():
     avg = radar_interference_w(radar, su, pattern, model, 5000.0, 0.0, mode="averaged")
     assert_allclose(linear_to_db(avg / peak), -29.523080096621253, rtol=1e-12)
     assert_allclose(avg / peak, 1.0 / 896.0, rtol=1e-12)
-    with pytest.raises(ValueError):
-        radar_interference_w(radar, su, pattern, model, 5000.0, 0.0, mode="rms")
+    # exactly the schema's spellings: no case folding, no stripping
+    for bad in ("rms", "Peak", " averaged"):
+        with pytest.raises(ValueError):
+            radar_interference_w(radar, su, pattern, model, 5000.0, 0.0, mode=bad)
 
 
 def test_radar_interference_includes_receive_gain():
