@@ -57,7 +57,6 @@ from .protection_single import (
     single_user_gamma,
 )
 from .protection_multi import (
-    MainSideLobePolicy,
     OptimalPolicy,
     RadarBlindPolicy,
     SharingPolicy,

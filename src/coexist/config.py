@@ -5,6 +5,11 @@ the library's internal units (linear ratios, radians, wavelength) happens
 here, once, at the boundary.  The schema is strict: unknown keys are
 rejected so typos fail loudly instead of silently falling back to
 defaults.
+
+``schema/scenario.json`` is compiled once per process by ``_schema`` (a
+validator for exactly the keywords the schema uses; numpy is the only
+runtime dependency).  A violation is reported as ``"<path>: <message>"``
+for the error with the smallest dotted path, worded as jsonschema words it.
 """
 
 from __future__ import annotations
@@ -17,9 +22,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-import jsonschema
 import numpy as np
 
+from ._schema import Validator, compile_schema
 from .numerics import db_to_linear
 from .propagation import (
     AntennaPattern,
@@ -79,22 +84,20 @@ class Scenario:
         return baseline, degraded
 
 
-# json.loads accepts NaN/Infinity and overflows 1e999 to inf; no field can
-# use them, so a non-finite float is not a schema "number" here
-_TYPES = jsonschema.Draft202012Validator.TYPE_CHECKER
-_FiniteNumberValidator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=_TYPES.redefine(
-        "number", lambda _, x: _TYPES.is_type(x, "number") and math.isfinite(x)
-    ),
-)
-
-
 @functools.cache
 def _load_schema() -> Dict[str, Any]:
     # read once per process; callers only read the returned dict
     with resources.files("coexist.schema").joinpath("scenario.json").open() as fh:
         return json.load(fh)
+
+
+@functools.cache
+def _validator(path: str = "") -> Validator:
+    """The compiled schema node at dotted ``path`` ("" is the whole scenario)."""
+    schema = node = _load_schema()
+    for key in filter(None, path.split(".")):
+        node = node["properties"][key]
+    return compile_schema(node, root=schema)
 
 
 def fixture_path(name: str) -> Path:
@@ -178,12 +181,10 @@ def load_scenario(path: str | Path) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ParseError(f"config is not valid JSON ({concrete}): {exc}") from exc
 
-    validator = _FiniteNumberValidator(_load_schema())
-    errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        where = ".".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ValidationError(f"{where}: {err.message}")
+    err = _validator().first_error(raw)
+    if err is not None:
+        where = ".".join(str(p) for p in err[0]) or "<root>"
+        raise ValidationError(f"{where}: {err[1]}")
 
     def build(section: str, builder, *args):
         try:
@@ -240,12 +241,9 @@ def check_field(path: str, value: Any) -> None:
 
     For values that bypass the scenario file, such as CLI overrides.
     """
-    node = _load_schema()
-    for key in path.split("."):
-        node = node["properties"][key]
-    err = next(_FiniteNumberValidator(node).iter_errors(value), None)
+    err = _validator(path).first_error(value)
     if err is not None:
-        raise ValidationError(f"{path}: {err.message}")
+        raise ValidationError(f"{path}: {err[1]}")
 
 
 def resolve_grid(spec: Dict[str, Any], name: str) -> list[float]:

@@ -359,11 +359,16 @@ def solve_radar_blind(
 ) -> RadarBlindPolicy:
     """Constant keep-out distance meeting the outage constraint with equality."""
     model = _require_power_law(model)
-    _, gains = gain_grid(pattern)
     d_min = _scale_onto_constraint(
-        field, su, model, fdr, i_max_w, periodic_rule(gains), periodic_rule(gains**2)
+        field, su, model, fdr, i_max_w, *_blind_moments(pattern)
     )
     return RadarBlindPolicy(d_min_m=d_min)
+
+
+def _blind_moments(pattern: Pattern) -> Tuple[float, float]:
+    """(int G, int G^2): the Campbell moments of a constant unit contour."""
+    _, gains = gain_grid(pattern)
+    return periodic_rule(gains), periodic_rule(gains**2)
 
 
 @lru_cache(maxsize=32)
@@ -396,16 +401,19 @@ def solve_main_side(
     The lobe window (full width ``lobe_width_rad``, centred on boresight)
     is protected out to beta * d_min; splitting the Campbell integrals over
     the window and its complement reduces the constraint to the same
-    declining one-dimensional equation in d_min.  beta = 1 collapses to the
-    radar-blind solution exactly.
+    declining one-dimensional equation in d_min.  beta = 1 is solved with
+    the radar-blind moments, so it returns the radar-blind d_min exactly.
     """
     if not beta >= 1.0:
         raise ValueError("beta must be >= 1")
     model = _require_power_law(model)
     alpha = model.alpha
-    main_g, side_g, main_g2, side_g2 = _split_gain_integrals(pattern, lobe_width_rad)
-    xi1 = side_g + beta ** (2.0 - alpha) * main_g
-    xi2 = side_g2 + beta ** (2.0 - 2.0 * alpha) * main_g2
+    if beta == 1.0:
+        xi1, xi2 = _blind_moments(pattern)
+    else:
+        main_g, side_g, main_g2, side_g2 = _split_gain_integrals(pattern, lobe_width_rad)
+        xi1 = side_g + beta ** (2.0 - alpha) * main_g
+        xi2 = side_g2 + beta ** (2.0 - 2.0 * alpha) * main_g2
     d_min = _scale_onto_constraint(field, su, model, fdr, i_max_w, xi1, xi2)
     return MainSideLobePolicy(
         d_min_m=d_min, d_max_m=beta * d_min, beta=beta, lobe_width_rad=lobe_width_rad

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from coexist.numerics import db_to_linear, q_inverse, q_tail
 from coexist.propagation import (
     AntennaPattern,
     ConstantGain,
