@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the package import, scenario loading and every subcommand.
+"""Time the package import, scenario loading, every subcommand and the MC kernel.
 
 Writes ``BENCH_<label>.json`` at the repository root with:
 
@@ -10,7 +10,16 @@ Writes ``BENCH_<label>.json`` at the repository root with:
   loads;
 - ``commands_s``: per subcommand and fixture, the in-process time of
   ``coexist.cli.main`` (load, run, write into a temporary directory) and its
-  exit code; a command that needs a section the fixture lacks exits 4.
+  exit code; a command that needs a section the fixture lacks exits 4;
+- ``kernel``: per Monte Carlo workload (a sparse field under the directional
+  pattern, about 1.8k drawn points per sample, and a dense isotropic field,
+  about 16.8k), the time of ``sample_aggregate`` per drawn point (min and median
+  ns; the kernel draws only the annulus outside the keep-out distance, so a
+  point is one drawn there) and how far the sample mean and variance lie
+  from the analytic Campbell moments, in standard errors.
+
+The script exits 1 if either kernel workload misses its Campbell moments by
+5 standard errors or more; the record is written either way.
 
 It measures whichever ``coexist`` Python imports, so the same script can
 time another checkout:
@@ -23,6 +32,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import platform
 import statistics
@@ -45,6 +55,9 @@ COMMANDS = (
     "validate-mc",
     "fit-pathloss",
 )
+KERNEL_SAMPLES = 20_000
+KERNEL_SEED = 0
+MAX_Z = 5.0  # Campbell check: standard errors the sample moments may miss by
 _IMPORT = (
     "import time; t = time.perf_counter(); import coexist.cli; "
     "print(time.perf_counter() - t)"
@@ -101,6 +114,84 @@ def time_commands(repeat):
     return result
 
 
+def _kernel_workloads():
+    from coexist.propagation import AntennaPattern, ConstantGain, PowerLawPathLoss
+    from coexist.protection_multi import DeploymentField
+
+    # name: (field, pattern, model, keep-out distance, outer radius)
+    return {
+        "directional": (
+            DeploymentField(density_per_m2=1e-6, activity_prob=1.0, outage_max=0.1),
+            AntennaPattern(gmax_dbi=33.5),
+            PowerLawPathLoss(k0=259.0, alpha=3.97),
+            2000.0,
+            24e3,
+        ),
+        "dense": (
+            DeploymentField(density_per_m2=5.6e-4, activity_prob=1.0, outage_max=0.1),
+            ConstantGain(gain_dbi=0.0),
+            PowerLawPathLoss(k0=1.0, alpha=6.0),
+            1000.0,
+            3250.0,
+        ),
+    }
+
+
+def _constant_profile(d0):
+    return lambda theta: np.full(np.shape(theta), d0)
+
+
+def _moment_misses(samples, analytic):
+    """Distances of the sample mean and variance from Campbell's, in standard errors."""
+    n = len(samples)
+    mean, var = float(np.mean(samples)), float(np.var(samples, ddof=1))
+    fourth = float(np.mean((samples - mean) ** 4))
+    se_mean = math.sqrt(var / n)
+    se_var = math.sqrt(max(fourth - var**2, 0.0) / n)
+    return (
+        abs(mean - analytic.mean_w) / se_mean,
+        abs(var - analytic.variance_w2) / se_var,
+    )
+
+
+def time_kernel(repeat):
+    from coexist.protection_multi import campbell_stats, sample_aggregate
+    from coexist.protection_single import SecondaryUser
+
+    su = SecondaryUser(
+        eirp_w=1.0,
+        bandwidth_hz=20e6,
+        antenna_gain_dbi=2.15,
+        antenna_height_m=3.0,
+        noise_figure_db=8.0,
+    )
+    result = {}
+    for name, (field, pattern, model, d0, outer) in _kernel_workloads().items():
+        profile = _constant_profile(d0)
+        args = (field, su, pattern, model, 1.0, profile, outer)
+        points = field.active_density_per_m2 * math.pi * (outer**2 - d0**2)
+        sample_aggregate(*args, 100, KERNEL_SEED)  # warm caches and allocations
+        ns_per_point = []
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            samples = sample_aggregate(*args, KERNEL_SAMPLES, KERNEL_SEED)
+            elapsed = time.perf_counter() - t0
+            ns_per_point.append(elapsed / (KERNEL_SAMPLES * points) * 1e9)
+        analytic = campbell_stats(
+            field, su, pattern, model, profile, 1.0, outer_radius_m=outer
+        )
+        z_mean, z_var = _moment_misses(samples, analytic)
+        result[name] = {
+            "samples": KERNEL_SAMPLES,
+            "drawn_points_per_sample": points,
+            "ns_per_point": _summary(ns_per_point),
+            "z_mean": z_mean,
+            "z_variance": z_var,
+            "moments_ok": max(z_mean, z_var) < MAX_Z,
+        }
+    return result
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
@@ -122,11 +213,21 @@ def main(argv=None):
         "import_s": time_import(args.repeat),
         "load_scenario_s": time_loads(max(args.repeat, 50)),
         "commands_s": time_commands(args.repeat),
+        "kernel": time_kernel(args.repeat),
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {path.name}")
-    return 0
+    misses = [n for n, entry in record["kernel"].items() if not entry["moments_ok"]]
+    for name in misses:
+        entry = record["kernel"][name]
+        print(
+            f"kernel {name}: sample moments miss Campbell's by "
+            f"{entry['z_mean']:.2f} (mean) and {entry['z_variance']:.2f} "
+            f"(variance) standard errors, limit {MAX_Z}",
+            file=sys.stderr,
+        )
+    return 1 if misses else 0
 
 
 if __name__ == "__main__":

@@ -67,7 +67,6 @@ from .protection_single import (
 )
 from .protection_multi import (
     CampbellStats,
-    ConvergenceViolation,
     DeploymentField,
     MainSideLobePolicy,
     OptimalPolicy,

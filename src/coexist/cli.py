@@ -273,9 +273,7 @@ def _gating_policy(
             raise ValidationError(
                 "pathloss.type: single-user gating needs a power-law model"
             )
-        gamma = single_user_gamma(
-            scenario.su, model, budget, scenario.radar.if_bandwidth_hz, fdr=fdr
-        )
+        gamma = single_user_gamma(scenario.su, model, budget, fdr)
         policy = OptimalPolicy(gamma=gamma, alpha=model.alpha)
         return policy, {"gamma_m": gamma}
     return _solve_policy(scenario, cfg, budget.i_max_w, fdr)
@@ -359,17 +357,10 @@ def _cmd_protect_single(
 ) -> Dict[str, Any]:
     budget = _budget(scenario)
     fdr = _cochannel_fdr(scenario)
-    radar = scenario.radar
 
-    def distance_at(theta_deg: float) -> float:
+    def distance_at(theta_deg):
         return protection_distance(
-            scenario.su,
-            scenario.pattern,
-            scenario.pathloss,
-            budget,
-            theta_deg,
-            radar.if_bandwidth_hz,
-            fdr=fdr,
+            scenario.su, scenario.pattern, scenario.pathloss, budget, theta_deg, fdr
         )
 
     results: Dict[str, Any] = {
@@ -383,13 +374,12 @@ def _cmd_protect_single(
     if isinstance(scenario.pattern, AntennaPattern):
         results["sidelobe_distance_m"] = distance_at(90.0)
     if "theta_deg" in scenario.sweeps:
-        grid = resolve_grid(scenario.sweeps["theta_deg"], "sweeps.theta_deg")
+        spec = scenario.sweeps["theta_deg"]
+        grid = np.array(resolve_grid(spec, "sweeps.theta_deg"))
     else:
-        grid = [float(t) for t in np.linspace(-180.0, 180.0, 721)]
-    rows = [
-        (theta, gain_dbi(scenario.pattern, theta), distance_at(theta))
-        for theta in grid
-    ]
+        grid = np.linspace(-180.0, 180.0, 721)
+    gains = gain_dbi(scenario.pattern, grid)
+    rows = list(zip(grid.tolist(), gains.tolist(), distance_at(grid).tolist()))
     tracker.table(
         "protect_single", ("theta_deg", "gain_dbi", "protection_distance_m"), rows
     )

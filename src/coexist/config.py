@@ -159,7 +159,10 @@ def _build_pathloss(cfg: Dict[str, Any]) -> PathLossModel:
     if cfg["type"] == "power_law":
         return PowerLawPathLoss(k0=cfg["k0"], alpha=cfg["alpha"])
     if "csv_path" in cfg:
-        return TabulatedPathLoss.from_csv(cfg["csv_path"])
+        try:
+            return TabulatedPathLoss.from_csv(cfg["csv_path"])
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"pathloss.csv_path: {exc}") from exc
     distances = tuple(float(row[0]) for row in cfg["samples"])
     attens = tuple(db_to_linear(float(row[1])) for row in cfg["samples"])
     return TabulatedPathLoss(distances_m=distances, attenuations=attens)

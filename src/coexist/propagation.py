@@ -73,41 +73,52 @@ class TabulatedPathLoss:
         distances = []
         attens = []
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or [
-                c.strip() for c in reader.fieldnames
-            ] != ["distance_m", "attenuation_db"]:
+            reader = csv.reader(fh)
+            header = [c.strip() for c in next(reader, [])]
+            if header != ["distance_m", "attenuation_db"]:
                 raise ValueError(
                     "expected CSV header 'distance_m,attenuation_db'"
                 )
             for row in reader:
-                distances.append(float(row["distance_m"]))
-                attens.append(db_to_linear(float(row["attenuation_db"])))
+                if not row:  # blank line
+                    continue
+                if len(row) < 2:
+                    raise ValueError(f"line {reader.line_num}: expected two cells")
+                distances.append(float(row[0]))
+                attens.append(db_to_linear(float(row[1])))
         return cls(tuple(distances), tuple(attens))
 
 
 PathLossModel = Union[PowerLawPathLoss, TabulatedPathLoss]
+FloatOrArray = Union[float, np.ndarray]
 
 
-def _log_log_interp(x: float, xs: Sequence[float], ys: Sequence[float]) -> float:
+def _log_log_interp(
+    x: FloatOrArray, xs: Sequence[float], ys: Sequence[float]
+) -> FloatOrArray:
     """Log-log interpolant through the samples (xs, ys) at x; xs increasing.
 
     Piecewise linear in (log x, log y) between the samples; beyond either
     end, the line through the two end samples.  Read forward (distance to
     attenuation) and reversed (attenuation to distance), the two readings
-    are inverses of each other, tails included.
+    are inverses of each other, tails included.  ``x`` is a float or an
+    array; a float gives a float.
     """
+    # math's log and exp for a float: numpy's differ from them in the last
+    # ulp on some inputs, and scalar attenuations feed written results
+    log, exp = (np.log, np.exp) if np.ndim(x) else (math.log, math.exp)
     log_x = np.log(np.asarray(xs))
     log_y = np.log(np.asarray(ys))
-    u = math.log(x)
-    if u < log_x[0]:
-        end, inner = 0, 1
-    elif u > log_x[-1]:
-        end, inner = -1, -2
-    else:
-        return math.exp(float(np.interp(u, log_x, log_y)))
-    slope = (log_y[inner] - log_y[end]) / (log_x[inner] - log_x[end])
-    return math.exp(float(log_y[end] + slope * (u - log_x[end])))
+    u = log(x)
+    # the two-point power-law tails, each anchored at its end sample
+    head_slope = (log_y[1] - log_y[0]) / (log_x[1] - log_x[0])
+    tail_slope = (log_y[-2] - log_y[-1]) / (log_x[-2] - log_x[-1])
+    head = log_y[0] + head_slope * (u - log_x[0])
+    tail = log_y[-1] + tail_slope * (u - log_x[-1])
+    log_v = np.where(
+        u < log_x[0], head, np.where(u > log_x[-1], tail, np.interp(u, log_x, log_y))
+    )
+    return exp(log_v)
 
 
 def attenuation(model: PathLossModel, distance_m: float) -> float:
@@ -119,15 +130,17 @@ def attenuation(model: PathLossModel, distance_m: float) -> float:
     return _log_log_interp(distance_m, model.distances_m, model.attenuations)
 
 
-def invert_attenuation(model: PathLossModel, attenuation_target: float) -> float:
+def invert_attenuation(
+    model: PathLossModel, attenuation_target: FloatOrArray
+) -> FloatOrArray:
     """Distance at which the model's attenuation equals ``attenuation_target``.
 
     Monotonicity of both model variants makes the inverse unique.  A
     tabulated model is inverted with the same log-log interpolant that
     :func:`attenuation` reads, so targets outside the sampled span follow
-    the two-point power-law tails.
+    the two-point power-law tails.  Takes a float or an array of targets.
     """
-    if not attenuation_target > 0.0:
+    if not np.all(attenuation_target > 0.0):
         raise ValueError("attenuation_target must be positive")
     if isinstance(model, PowerLawPathLoss):
         return (model.k0 / attenuation_target) ** (1.0 / model.alpha)
@@ -211,15 +224,16 @@ def _gain_dbi_abs(pattern: Pattern, abs_deg: float | np.ndarray) -> np.ndarray:
     )
 
 
-def gain_dbi(pattern: Pattern, theta_deg: float) -> float:
-    """Antenna gain in dBi at azimuth ``theta_deg`` in [-180, 180]."""
-    if not -180.0 <= theta_deg <= 180.0:
+def gain_dbi(pattern: Pattern, theta_deg: FloatOrArray) -> FloatOrArray:
+    """Antenna gain in dBi at azimuth ``theta_deg`` in [-180, 180] (float or array)."""
+    if not np.all(np.abs(theta_deg) <= 180.0):
         raise ValueError("theta_deg must lie in [-180, 180]")
-    return float(_gain_dbi_abs(pattern, abs(theta_deg)))
+    gain = _gain_dbi_abs(pattern, np.abs(theta_deg))
+    return gain if np.ndim(theta_deg) else float(gain)
 
 
-def gain_linear(pattern: Pattern, theta_deg: float) -> float:
-    """Linear power gain at azimuth ``theta_deg``."""
+def gain_linear(pattern: Pattern, theta_deg: FloatOrArray) -> FloatOrArray:
+    """Linear power gain at azimuth ``theta_deg`` (float or array)."""
     return db_to_linear(gain_dbi(pattern, theta_deg))
 
 

@@ -51,10 +51,6 @@ OPTIMALITY_TOLERANCE = 1e-3  # largest relative area cut a perturbation may make
 RIPPLE_AMPLITUDE = 0.05  # relative peak of each optimality-check perturbation
 
 
-class ConvergenceViolation(ValueError):
-    """Attenuation exponent too shallow for planar Campbell integrals."""
-
-
 class TruncationTooSevere(ValueError):
     """Monte Carlo outer radius discards more than 1% of the analytic mean."""
 
@@ -235,8 +231,6 @@ def _require_power_law(model: PathLossModel) -> PowerLawPathLoss:
             "Campbell closed forms require a PowerLawPathLoss "
             "(fit tabulated data first)"
         )
-    if model.alpha <= 2.0:
-        raise ConvergenceViolation("alpha must exceed 2")
     return model
 
 

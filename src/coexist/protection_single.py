@@ -2,10 +2,13 @@
 
 Given a radar operating with some SNR margin over its required detection
 point, the margin converts into a maximum tolerable external interference
-power I_max.  A single co-channel transmitter at azimuth theta then needs
-enough path loss that its received power stays below I_max, which yields
-an azimuth-dependent protection distance following the radar's gain
-pattern.
+power I_max.  A single transmitter at azimuth theta then needs enough path
+loss that its received power stays below I_max, which yields an
+azimuth-dependent protection distance following the radar's gain pattern.
+
+The frequency-dependent rejection (FDR) is always an explicit argument,
+never derived here: the caller decides it, from ``fdr_cochannel`` for a
+co-channel transmitter or ``fdr_general`` for an offset one.
 """
 
 from __future__ import annotations
@@ -14,13 +17,15 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from .numerics import linear_to_db
 from .propagation import (
+    FloatOrArray,
     PathLossModel,
     Pattern,
     PowerLawPathLoss,
     attenuation,
-    fdr_cochannel,
     gain_linear,
     invert_attenuation,
 )
@@ -111,17 +116,9 @@ def inr_vs_performance_drop(
     return results
 
 
-def _resolve_fdr(su: SecondaryUser, victim_if_bw_hz: float, fdr: float | None) -> float:
-    if fdr is not None:
-        if not fdr >= 1.0:
-            raise ValueError("fdr must be >= 1")
-        return fdr
-    if su.delta_f_hz != 0.0:
-        raise ValueError(
-            "off-channel interferer: pass an explicit fdr computed from the "
-            "transmit PSD and victim filter response"
-        )
-    return fdr_cochannel(su.bandwidth_hz, victim_if_bw_hz)
+def _check_fdr(fdr: float) -> None:
+    if not fdr >= 1.0:
+        raise ValueError("fdr must be >= 1")
 
 
 def received_interference_w(
@@ -130,8 +127,7 @@ def received_interference_w(
     model: PathLossModel,
     theta_deg: float,
     distance_m: float,
-    victim_if_bw_hz: float,
-    fdr: float | None = None,
+    fdr: float,
 ) -> float:
     """Interference power coupled into the radar IF from one transmitter.
 
@@ -140,12 +136,12 @@ def received_interference_w(
     """
     if not distance_m > 0.0:
         raise ValueError("distance_m must be positive")
-    rejection = _resolve_fdr(su, victim_if_bw_hz, fdr)
+    _check_fdr(fdr)
     return (
         su.eirp_w
         * gain_linear(pattern, theta_deg)
         * attenuation(model, distance_m)
-        / rejection
+        / fdr
     )
 
 
@@ -154,23 +150,23 @@ def protection_distance(
     pattern: Pattern,
     model: PathLossModel,
     budget: InterferenceBudget,
-    theta_deg: float,
-    victim_if_bw_hz: float,
-    fdr: float | None = None,
-) -> float:
+    theta_deg: FloatOrArray,
+    fdr: float,
+) -> FloatOrArray:
     """Minimum radar-to-transmitter separation at azimuth ``theta_deg``.
 
     Inverts the path-loss model at the attenuation that pins the received
-    interference exactly at I_max.  A zero-I_max budget admits nothing at
-    any finite range and returns INFINITE_DISTANCE, keeping azimuth sweeps
-    total.
+    interference exactly at I_max.  ``theta_deg`` is a float or an array of
+    azimuths, evaluated in one pass.  A zero-I_max budget admits nothing at
+    any finite range and gives INFINITE_DISTANCE at every azimuth, keeping
+    azimuth sweeps total.
     """
+    _check_fdr(fdr)
     if budget.i_max_w == 0.0:
+        if np.ndim(theta_deg):
+            return np.full(np.shape(theta_deg), INFINITE_DISTANCE)
         return INFINITE_DISTANCE
-    rejection = _resolve_fdr(su, victim_if_bw_hz, fdr)
-    target = rejection * budget.i_max_w / (
-        su.eirp_w * gain_linear(pattern, theta_deg)
-    )
+    target = fdr * budget.i_max_w / (su.eirp_w * gain_linear(pattern, theta_deg))
     return invert_attenuation(model, target)
 
 
@@ -178,8 +174,7 @@ def single_user_gamma(
     su: SecondaryUser,
     model: PathLossModel,
     budget: InterferenceBudget,
-    victim_if_bw_hz: float,
-    fdr: float | None = None,
+    fdr: float,
 ) -> float:
     """Scale of the single-interferer keep-out contour d(theta) = gamma*G^(1/alpha).
 
@@ -189,12 +184,10 @@ def single_user_gamma(
     """
     if not isinstance(model, PowerLawPathLoss):
         raise TypeError("closed-form contour scale requires a power-law model")
+    _check_fdr(fdr)
     if budget.i_max_w == 0.0:
         return INFINITE_DISTANCE
-    rejection = _resolve_fdr(su, victim_if_bw_hz, fdr)
-    return (model.k0 * su.eirp_w / (rejection * budget.i_max_w)) ** (
-        1.0 / model.alpha
-    )
+    return (model.k0 * su.eirp_w / (fdr * budget.i_max_w)) ** (1.0 / model.alpha)
 
 
 def dbm(power_w: float) -> float:

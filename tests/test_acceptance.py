@@ -165,18 +165,9 @@ def test_criterion_4_frequency_dependent_rejection():
 
 
 def test_criterion_5_single_interferer_contour():
-    d_side = protection_distance(
-        SU, PATTERN, MODEL, BUDGET, 90.0, RADAR.if_bandwidth_hz, fdr=FDR
-    )
+    d_side = protection_distance(SU, PATTERN, MODEL, BUDGET, 90.0, FDR)
     thetas = np.linspace(-180.0, 180.0, 721)
-    d = np.array(
-        [
-            protection_distance(
-                SU, PATTERN, MODEL, BUDGET, t, RADAR.if_bandwidth_hz, fdr=FDR
-            )
-            for t in thetas
-        ]
-    )
+    d = protection_distance(SU, PATTERN, MODEL, BUDGET, thetas, FDR)
     gains = np.array([db_to_linear(gain_dbi(PATTERN, t)) for t in thetas])
     scale = d / gains ** (1.0 / MODEL.alpha)
     shape_dev = float(np.max(np.abs(scale / scale[360] - 1.0)))
@@ -351,7 +342,7 @@ def test_criterion_9_throughput_model():
         db_to_linear(23.14),
         snr_required_albersheim(RocPoint(pd=0.85, pfa=1e-6)),
     )
-    gamma = single_user_gamma(SU, MODEL, budget, RADAR_896.if_bandwidth_hz, fdr=FDR)
+    gamma = single_user_gamma(SU, MODEL, budget, FDR)
     policy = OptimalPolicy(gamma=gamma, alpha=MODEL.alpha)
     boundary = float(
         np.min(policy_profile(policy, PATTERN)(np.linspace(-np.pi, np.pi, 4097)))

@@ -32,6 +32,11 @@ def _variant(tmp_path, base, mutate, name="scenario.json"):
     return path
 
 
+def _write(path, text):
+    path.write_text(text)
+    return path
+
+
 def _summary(out_dir):
     return json.loads((out_dir / "summary.json").read_text())
 
@@ -518,6 +523,52 @@ def test_failed_run_removes_partial_outputs(tmp_path, capsys):
     assert "bracket requires lo < hi" in capsys.readouterr().err
     assert out.is_dir()
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, base",
+    [
+        ("protect-single", "type_b_radar"),
+        ("protect-multi", "type_b_radar"),
+        ("throughput", "wifi_sharing"),
+        ("validate-mc", "type_b_radar"),
+    ],
+)
+def test_off_channel_interferer_exits_3(tmp_path, capsys, command, base):
+    # the CLI rates only co-channel interferers; an offset one needs an FDR
+    # computed from spectra, which only the library API takes
+    def offset(cfg):
+        cfg["su"]["delta_f_hz"] = 3e7
+
+    config = _variant(tmp_path, base, offset)
+    out = tmp_path / "o"
+    rc = main([command, "--config", str(config), "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: su.delta_f_hz:")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "make_table",
+    [
+        lambda tmp: tmp / "missing.csv",
+        lambda tmp: tmp,  # a directory
+        lambda tmp: _write(tmp / "short.csv", "distance_m,attenuation_db\n100,-20\n1000\n"),
+    ],
+    ids=["missing", "directory", "short-row"],
+)
+def test_bad_pathloss_csv_exits_3(tmp_path, capsys, make_table):
+    table = make_table(tmp_path)
+
+    def tabulate(cfg):
+        cfg["pathloss"] = {"type": "tabulated", "csv_path": str(table)}
+
+    config = _variant(tmp_path, "type_b_radar", tabulate)
+    out = tmp_path / "o"
+    rc = main(["protect-single", "--config", str(config), "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: pathloss.csv_path:")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

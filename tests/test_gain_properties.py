@@ -45,6 +45,10 @@ def test_scalar_and_array_paths_agree(gmax, theta):
     scalar_db = linear_to_db(gain_linear_rad(pattern, theta))
     array_db = linear_to_db(float(gain_linear_array(pattern, np.array([theta]))[0]))
     assert abs(scalar_db - array_db) <= 1e-12
+    # gain_dbi runs one formula for floats and arrays: equal to the bit
+    theta_deg = math.degrees(theta)
+    both_signs = gain_dbi(pattern, np.array([theta_deg, -theta_deg]))
+    assert both_signs[0] == both_signs[1] == gain_dbi(pattern, theta_deg)
 
 
 @PROPERTY

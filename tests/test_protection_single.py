@@ -7,7 +7,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from coexist.numerics import db_to_linear
-from coexist.propagation import AntennaPattern, PowerLawPathLoss, gain_linear
+from coexist.propagation import (
+    AntennaPattern,
+    PowerLawPathLoss,
+    TabulatedPathLoss,
+    fdr_cochannel,
+    gain_linear,
+)
 from coexist.protection_single import (
     INFINITE_DISTANCE,
     InterferenceBudget,
@@ -22,6 +28,7 @@ from coexist.protection_single import (
 from coexist.radar_detection import RadarSystem, albersheim_snr_linear, noise_power_w
 
 IF_BW_HZ = 653e3
+FDR = fdr_cochannel(20e6, IF_BW_HZ)  # the co-channel rejection of _wifi_su()
 
 
 def _atc_radar() -> RadarSystem:
@@ -124,10 +131,12 @@ def test_protection_distance_reference_azimuths():
     pattern = AntennaPattern(gmax_dbi=33.5)
     model = PowerLawPathLoss(k0=259.0, alpha=3.97)
     budget = _pipeline_budget(radar)
-    bore = protection_distance(su, pattern, model, budget, 0.0, IF_BW_HZ)
-    back = protection_distance(su, pattern, model, budget, 90.0, IF_BW_HZ)
+    bore = protection_distance(su, pattern, model, budget, 0.0, FDR)
+    back = protection_distance(su, pattern, model, budget, 90.0, FDR)
     assert_allclose(bore, 84330.6270101234, rtol=1e-12)
     assert_allclose(back, 8656.061671503163, rtol=1e-12)
+    with pytest.raises(ValueError, match="fdr must be >= 1"):
+        protection_distance(su, pattern, model, budget, 0.0, 0.5)
     # boresight/backlobe ratio equals the gain ratio to the 1/alpha
     assert_allclose(
         bore / back,
@@ -143,8 +152,8 @@ def test_received_interference_closes_at_the_boundary():
     model = PowerLawPathLoss(k0=259.0, alpha=3.97)
     budget = _pipeline_budget(radar)
     for theta in (0.0, 5.0, 30.0, 90.0, 180.0):
-        d = protection_distance(su, pattern, model, budget, theta, IF_BW_HZ)
-        got = received_interference_w(su, pattern, model, theta, d, IF_BW_HZ)
+        d = protection_distance(su, pattern, model, budget, theta, FDR)
+        got = received_interference_w(su, pattern, model, theta, d, FDR)
         assert_allclose(got, budget.i_max_w, rtol=1e-12)
 
 
@@ -153,12 +162,21 @@ def test_profile_follows_gain_to_one_over_alpha():
     pattern = AntennaPattern(gmax_dbi=33.5)
     model = PowerLawPathLoss(k0=259.0, alpha=3.97)
     budget = _pipeline_budget(_atc_radar())
-    gamma = single_user_gamma(su, model, budget, IF_BW_HZ)
+    gamma = single_user_gamma(su, model, budget, FDR)
     assert_allclose(gamma, 12082.494719683102, rtol=1e-12)
     theta = np.linspace(-180.0, 180.0, 361)
-    d = np.array([protection_distance(su, pattern, model, budget, t, IF_BW_HZ) for t in theta])
+    d = np.array([protection_distance(su, pattern, model, budget, t, FDR) for t in theta])
     want = gamma * np.array([gain_linear(pattern, t) for t in theta]) ** (1.0 / model.alpha)
     assert_allclose(d, want, rtol=1e-12)
+    # one array call gives the per-azimuth scalar calls, to the last ulp or so
+    d_array = protection_distance(su, pattern, model, budget, theta, FDR)
+    assert_allclose(d_array, d, rtol=4e-16)
+    # and so does a tabulated model, inverted past both ends of its table
+    table = TabulatedPathLoss((1e3, 5e3, 2e4), (3e-14, 1e-15, 3e-17))
+    scalar = [protection_distance(su, pattern, table, budget, t, FDR) for t in theta]
+    assert min(scalar) < 1e3 < 2e4 < max(scalar)
+    d_array = protection_distance(su, pattern, table, budget, theta, FDR)
+    assert_allclose(d_array, scalar, rtol=4e-16)
 
 
 def test_zero_budget_yields_infinite_distance():
@@ -168,27 +186,11 @@ def test_zero_budget_yields_infinite_distance():
     budget = InterferenceBudget(
         i_max_w=0.0, inr_db=float("-inf"), sinr_required_linear=20.0, baseline_snr_linear=20.0
     )
-    assert protection_distance(su, pattern, model, budget, 0.0, IF_BW_HZ) == INFINITE_DISTANCE
-    assert single_user_gamma(su, model, budget, IF_BW_HZ) == INFINITE_DISTANCE
-
-
-def test_off_channel_requires_explicit_fdr():
-    su = SecondaryUser(
-        eirp_w=1.0,
-        bandwidth_hz=20e6,
-        antenna_gain_dbi=2.15,
-        antenna_height_m=3.0,
-        noise_figure_db=8.0,
-        delta_f_hz=30e6,
-    )
-    pattern = AntennaPattern(gmax_dbi=33.5)
-    model = PowerLawPathLoss(k0=259.0, alpha=3.97)
-    budget = _pipeline_budget(_atc_radar())
-    with pytest.raises(ValueError):
-        protection_distance(su, pattern, model, budget, 0.0, IF_BW_HZ)
-    # an explicit rejection factor unblocks the same call
-    d = protection_distance(su, pattern, model, budget, 0.0, IF_BW_HZ, fdr=1e6)
-    assert d > 0.0
+    assert protection_distance(su, pattern, model, budget, 0.0, FDR) == INFINITE_DISTANCE
+    theta = np.linspace(-180.0, 180.0, 7)
+    d = protection_distance(su, pattern, model, budget, theta, FDR)
+    assert d.shape == theta.shape and np.all(d == INFINITE_DISTANCE)
+    assert single_user_gamma(su, model, budget, FDR) == INFINITE_DISTANCE
 
 
 def test_dbm_helper():
