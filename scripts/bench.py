@@ -11,6 +11,9 @@ Writes ``BENCH_<label>.json`` at the repository root with:
 - ``commands_s``: per subcommand and fixture, the in-process time of
   ``coexist.cli.main`` (load, run, write into a temporary directory) and its
   exit code; a command that needs a section the fixture lacks exits 4;
+- ``protect_multi_policies_s``: the same for ``protect-multi`` on
+  ``type_b_radar`` under each field policy (``--policy``), since the policies
+  solve very different numbers of contour scales;
 - ``kernel``: per Monte Carlo workload (a sparse field under the directional
   pattern, about 1.8k drawn points per sample, and a dense isotropic field,
   about 16.8k), the time of ``sample_aggregate`` per drawn point (min and median
@@ -55,6 +58,7 @@ COMMANDS = (
     "validate-mc",
     "fit-pathloss",
 )
+FIELD_POLICIES = ("optimal", "radar-blind", "main-side-lobe")
 KERNEL_SAMPLES = 20_000
 KERNEL_SEED = 0
 MAX_Z = 5.0  # Campbell check: standard errors the sample moments may miss by
@@ -95,23 +99,37 @@ def time_loads(repeat):
     return result
 
 
-def time_commands(repeat):
+def _time_main(argv, repeat):
+    """Exit code and time summary of ``coexist.cli.main(argv + --out ...)``."""
     from coexist.cli import main
 
-    result = {}
+    times, codes = [], set()
     with tempfile.TemporaryDirectory() as tmp:
-        for command in COMMANDS:
-            for name in FIXTURES:
-                times, codes = [], set()
-                for i in range(repeat):
-                    out = Path(tmp) / f"{command}-{name}-{i}"
-                    t0 = time.perf_counter()
-                    with contextlib.redirect_stderr(io.StringIO()):
-                        codes.add(main([command, "--config", name, "--out", str(out)]))
-                    times.append(time.perf_counter() - t0)
-                (code,) = codes
-                result[f"{command}/{name}"] = {"exit": code, **_summary(times)}
-    return result
+        for i in range(repeat):
+            out = Path(tmp) / str(i)
+            t0 = time.perf_counter()
+            with contextlib.redirect_stderr(io.StringIO()):
+                codes.add(main([*argv, "--out", str(out)]))
+            times.append(time.perf_counter() - t0)
+    (code,) = codes
+    return {"exit": code, **_summary(times)}
+
+
+def time_commands(repeat):
+    return {
+        f"{command}/{name}": _time_main([command, "--config", name], repeat)
+        for command in COMMANDS
+        for name in FIXTURES
+    }
+
+
+def time_policies(repeat):
+    return {
+        policy: _time_main(
+            ["protect-multi", "--config", "type_b_radar", "--policy", policy], repeat
+        )
+        for policy in FIELD_POLICIES
+    }
 
 
 def _kernel_workloads():
@@ -213,6 +231,7 @@ def main(argv=None):
         "import_s": time_import(args.repeat),
         "load_scenario_s": time_loads(max(args.repeat, 50)),
         "commands_s": time_commands(args.repeat),
+        "protect_multi_policies_s": time_policies(args.repeat),
         "kernel": time_kernel(args.repeat),
     }
     path = ROOT / f"BENCH_{args.label}.json"

@@ -72,6 +72,7 @@ from .protection_multi import (
     OptimalPolicy,
     OptimalityViolation,
     RadarBlindPolicy,
+    ScaleNotFinite,
     SharingPolicy,
     TruncationTooSevere,
     campbell_stats,

@@ -155,12 +155,13 @@ def _build_radar(cfg: Dict[str, Any]) -> RadarSystem:
     )
 
 
-def _build_pathloss(cfg: Dict[str, Any]) -> PathLossModel:
+def _build_pathloss(cfg: Dict[str, Any], scenario_dir: Path) -> PathLossModel:
     if cfg["type"] == "power_law":
         return PowerLawPathLoss(k0=cfg["k0"], alpha=cfg["alpha"])
     if "csv_path" in cfg:
+        # a relative path names a file beside the scenario, wherever it runs
         try:
-            return TabulatedPathLoss.from_csv(cfg["csv_path"])
+            return TabulatedPathLoss.from_csv(scenario_dir / cfg["csv_path"])
         except (OSError, ValueError) as exc:
             raise ValidationError(f"pathloss.csv_path: {exc}") from exc
     distances = tuple(float(row[0]) for row in cfg["samples"])
@@ -201,7 +202,7 @@ def load_scenario(path: str | Path) -> Scenario:
     su_cfg = dict(raw["su"])
     su_cfg.setdefault("delta_f_hz", 0.0)
     su = build("su", lambda c: SecondaryUser(**c), su_cfg)
-    pathloss = build("pathloss", _build_pathloss, raw["pathloss"])
+    pathloss = build("pathloss", _build_pathloss, raw["pathloss"], concrete.parent)
 
     pattern_cfg = raw.get("antenna_pattern", {})
     if "constant_gain_dbi" in pattern_cfg:

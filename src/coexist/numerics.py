@@ -2,8 +2,11 @@
 
 Small, dependency-light building blocks used across the analysis modules.
 The Gaussian tail pair comes from the standard library (``math.erfc``,
-``statistics.NormalDist``); the root solver is plain bisection, chosen for
-bit-for-bit reproducibility of solver outputs across platforms.
+``statistics.NormalDist``).  ``solve_root`` is plain bisection, deterministic
+to the last bit; the package's own solves do not call it (the contour scale
+of the field policies is a Newton solve in
+``protection_multi._scale_onto_constraint``), and the tests use it as an
+independent reference.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ class NoSignChange(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """Bisection failed to reach the requested tolerance within max_iter."""
+    """A solver did not converge within its iteration limit."""
 
 
 class DegenerateFit(ValueError):
@@ -88,10 +91,9 @@ class RootBracket:
 def solve_root(f: Callable[[float], float], bracket: RootBracket) -> float:
     """Find the root of ``f`` inside ``bracket`` by bisection.
 
-    Bisection rather than Brent: every equation this package solves is
-    strictly monotone in the unknown, and halving is deterministic to the
-    last bit for identical inputs, which the reproducibility contract of
-    the CLI relies on.
+    Bisection needs only a sign change, so it serves as a slow, independent
+    reference for the faster solvers; halving is deterministic to the last
+    bit for identical inputs.
 
     Raises NoSignChange when f(lo) and f(hi) have the same (nonzero) sign,
     NoConvergence when max_iter bisections do not shrink the interval to

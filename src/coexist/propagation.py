@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
@@ -68,8 +69,12 @@ class TabulatedPathLoss:
             raise ValueError("attenuations must be strictly decreasing")
 
     @classmethod
-    def from_csv(cls, path: str) -> "TabulatedPathLoss":
-        """Load a two-column CSV with header ``distance_m,attenuation_db``."""
+    def from_csv(cls, path: str | os.PathLike[str]) -> "TabulatedPathLoss":
+        """Load a two-column CSV with header ``distance_m,attenuation_db``.
+
+        Every non-blank row must hold exactly two cells; a stray third
+        column is refused, naming its line.
+        """
         distances = []
         attens = []
         with open(path, newline="") as fh:
@@ -82,8 +87,10 @@ class TabulatedPathLoss:
             for row in reader:
                 if not row:  # blank line
                     continue
-                if len(row) < 2:
-                    raise ValueError(f"line {reader.line_num}: expected two cells")
+                if len(row) != 2:
+                    raise ValueError(
+                        f"line {reader.line_num}: expected two cells, got {len(row)}"
+                    )
                 distances.append(float(row[0]))
                 attens.append(db_to_linear(float(row[1])))
         return cls(tuple(distances), tuple(attens))

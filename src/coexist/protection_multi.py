@@ -29,11 +29,10 @@ import numpy as np
 from .numerics import (
     N_PANELS_DEFAULT,
     TWO_PI,
-    RootBracket,
+    NoConvergence,
     periodic_rule,
     q_inverse,
     q_tail,
-    solve_root,
 )
 from .propagation import (
     ConstantGain,
@@ -47,12 +46,18 @@ from . import _mc_kernels
 
 PROFILE_TABLE_SIZE = 16384
 
+MAX_NEWTON_STEPS = 64  # the contour scale converges in two to five
+
 OPTIMALITY_TOLERANCE = 1e-3  # largest relative area cut a perturbation may make
 RIPPLE_AMPLITUDE = 0.05  # relative peak of each optimality-check perturbation
 
 
 class TruncationTooSevere(ValueError):
     """Monte Carlo outer radius discards more than 1% of the analytic mean."""
+
+
+class ScaleNotFinite(ValueError):
+    """The outage constraint puts the contour scale outside the float range."""
 
 
 class OptimalityViolation(AssertionError):
@@ -293,7 +298,16 @@ def _scale_onto_constraint(
     """Scale t pinning a contour with Campbell moments (m1, m2) onto the outage cap.
 
     Solves a*t^(2-alpha) + b*t^(1-alpha) = I_max, a = C_mu*m1 and
-    b = Qinv(p)*sqrt(C_s2*m2); the left-hand side strictly decreases in t.
+    b = Qinv(p)*sqrt(C_s2*m2), by Newton's method in y = ln t.  Since
+    outage_max < 0.5, b > 0 and g(y) = ln(a e^((2-alpha)y) + b e^((1-alpha)y))
+    - ln I_max, a log-sum-exp of affine terms, is convex and strictly
+    decreasing.  The iterates start at the larger of the roots of the two
+    terms alone, which lies left of the root, so they rise monotonically
+    onto it; the solve stops at the first step that no longer increases t.
+    t is carried as t * exp(step), not exp(y), so it keeps full precision
+    whatever its magnitude.
+
+    Raises ScaleNotFinite when the root lies outside the float range.
     """
     if not i_max_w > 0.0:
         raise ValueError("i_max_w must be positive")
@@ -301,22 +315,38 @@ def _scale_onto_constraint(
     c_mu, c_sigma2 = _prefactors(field, su, model, fdr)
     a_coef = c_mu * m1
     b_coef = q_inverse(field.outage_max) * math.sqrt(c_sigma2 * m2)
-
-    def f(x: float) -> float:
-        return a_coef * x ** (2.0 - alpha) + b_coef * x ** (1.0 - alpha) - i_max_w
-
-    guess = (a_coef / i_max_w) ** (1.0 / (alpha - 2.0))
-    lo = guess / 2.0
-    hi = guess * 2.0
-    for _ in range(200):
-        if f(lo) > 0.0:
-            break
-        lo /= 8.0
-    for _ in range(200):
-        if f(hi) < 0.0:
-            break
-        hi *= 8.0
-    return solve_root(f, RootBracket(lo=lo, hi=hi, tol_rel=1e-13, max_iter=400))
+    try:
+        t = max(
+            (a_coef / i_max_w) ** (1.0 / (alpha - 2.0)),
+            (b_coef / i_max_w) ** (1.0 / (alpha - 1.0)),
+        )
+        for _ in range(MAX_NEWTON_STEPS):
+            if not 0.0 < t < math.inf:
+                break
+            mean = a_coef * t ** (2.0 - alpha)
+            spread = b_coef * t ** (1.0 - alpha)
+            total = mean + spread
+            step = (
+                math.log(total / i_max_w) * total
+                / ((alpha - 2.0) * mean + (alpha - 1.0) * spread)
+            )
+            if not math.isfinite(step):
+                break
+            t_next = t * math.exp(step)
+            if not t_next > t:
+                return t
+            t = t_next
+        else:
+            raise NoConvergence(
+                f"contour scale still rising after {MAX_NEWTON_STEPS} Newton steps"
+            )
+    except OverflowError:
+        pass
+    raise ScaleNotFinite(
+        f"contour scale is not finite: a*t^(2-alpha) + b*t^(1-alpha) = I_max "
+        f"with a={a_coef:.6g}, b={b_coef:.6g}, I_max={i_max_w:.6g} W and "
+        f"alpha={alpha:.6g} has no positive root in the float range"
+    )
 
 
 def solve_optimal_profile(

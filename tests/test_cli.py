@@ -511,7 +511,7 @@ def test_single_user_policy_rejected_for_field_study(tmp_path, capsys):
 
 def test_failed_run_removes_partial_outputs(tmp_path, capsys):
     # the contour table is written before the density sweep runs; a density
-    # the schema accepts but the solver cannot bracket (its scale overflows)
+    # the schema accepts but whose contour scale overflows the float range
     # must fail the run AND remove the table that was already on disk
     def poison_sweep(cfg):
         cfg["sweeps"]["density_per_m2"] = {"values": [1e-6, 1e300]}
@@ -520,7 +520,7 @@ def test_failed_run_removes_partial_outputs(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["protect-multi", "--config", str(config), "--out", str(out)])
     assert rc == 5
-    assert "bracket requires lo < hi" in capsys.readouterr().err
+    assert "contour scale is not finite" in capsys.readouterr().err
     assert out.is_dir()
     assert list(out.iterdir()) == []
 
@@ -569,6 +569,40 @@ def test_bad_pathloss_csv_exits_3(tmp_path, capsys, make_table):
     assert rc == 3
     assert capsys.readouterr().err.startswith("error: pathloss.csv_path:")
     assert not out.exists()
+
+
+def test_pathloss_csv_with_extra_cell_exits_3(tmp_path, capsys):
+    # a stray third column is a malformed table, not a two-column one
+    table = _write(
+        tmp_path / "extra.csv", "distance_m,attenuation_db\n100,-20,junk\n1000,-40\n"
+    )
+
+    def tabulate(cfg):
+        cfg["pathloss"] = {"type": "tabulated", "csv_path": str(table)}
+
+    config = _variant(tmp_path, "type_b_radar", tabulate)
+    out = tmp_path / "o"
+    rc = main(["protect-single", "--config", str(config), "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(
+        "error: pathloss.csv_path: line 2: expected two cells, got 3"
+    )
+    assert not out.exists()
+
+
+def test_relative_pathloss_csv_resolves_beside_the_scenario(tmp_path, monkeypatch):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    _write(sub / "table.csv", "distance_m,attenuation_db\n100,-40\n1000,-70\n10000,-100\n")
+
+    def tabulate(cfg):
+        cfg["pathloss"] = {"type": "tabulated", "csv_path": "table.csv"}
+
+    _variant(sub, "type_b_radar", tabulate, name="s.json")
+    monkeypatch.chdir(tmp_path)
+    rc = main(["protect-single", "--config", "sub/s.json", "--out", "o"])
+    assert rc == 0
+    assert (tmp_path / "o" / "summary.json").is_file()
 
 
 @pytest.mark.parametrize(
