@@ -3,10 +3,9 @@
 Small, dependency-light building blocks used across the analysis modules.
 The Gaussian tail pair comes from the standard library (``math.erfc``,
 ``statistics.NormalDist``).  ``solve_root`` is plain bisection, deterministic
-to the last bit; the package's own solves do not call it (the contour scale
-of the field policies is a Newton solve in
-``protection_multi._scale_onto_constraint``), and the tests use it as an
-independent reference.
+to the last bit.  The contour scale of the field policies is a Newton solve
+(``protection_multi._scale_onto_constraint``) that falls back on it only if
+its steps do not settle; the tests use it as an independent reference.
 """
 
 from __future__ import annotations
@@ -91,9 +90,9 @@ class RootBracket:
 def solve_root(f: Callable[[float], float], bracket: RootBracket) -> float:
     """Find the root of ``f`` inside ``bracket`` by bisection.
 
-    Bisection needs only a sign change, so it serves as a slow, independent
-    reference for the faster solvers; halving is deterministic to the last
-    bit for identical inputs.
+    Bisection needs only a sign change, so it serves as the fallback and
+    the slow, independent reference for the faster solvers; halving is
+    deterministic to the last bit for identical inputs.
 
     Raises NoSignChange when f(lo) and f(hi) have the same (nonzero) sign,
     NoConvergence when max_iter bisections do not shrink the interval to

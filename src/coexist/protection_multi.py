@@ -29,10 +29,11 @@ import numpy as np
 from .numerics import (
     N_PANELS_DEFAULT,
     TWO_PI,
-    NoConvergence,
+    RootBracket,
     periodic_rule,
     q_inverse,
     q_tail,
+    solve_root,
 )
 from .propagation import (
     ConstantGain,
@@ -46,7 +47,7 @@ from . import _mc_kernels
 
 PROFILE_TABLE_SIZE = 16384
 
-MAX_NEWTON_STEPS = 64  # the contour scale converges in two to five
+MAX_NEWTON_STEPS = 64  # the contour scale settles in two to five; bisection after
 
 OPTIMALITY_TOLERANCE = 1e-3  # largest relative area cut a perturbation may make
 RIPPLE_AMPLITUDE = 0.05  # relative peak of each optimality-check perturbation
@@ -305,7 +306,9 @@ def _scale_onto_constraint(
     terms alone, which lies left of the root, so they rise monotonically
     onto it; the solve stops at the first step that no longer increases t.
     t is carried as t * exp(step), not exp(y), so it keeps full precision
-    whatever its magnitude.
+    whatever its magnitude.  Should the steps not settle within
+    MAX_NEWTON_STEPS, bisection finishes the solve between the last checked
+    iterate and the t at which each term is at most I_max/2.
 
     Raises ScaleNotFinite when the root lies outside the float range.
     """
@@ -316,7 +319,7 @@ def _scale_onto_constraint(
     a_coef = c_mu * m1
     b_coef = q_inverse(field.outage_max) * math.sqrt(c_sigma2 * m2)
     try:
-        t = max(
+        lo = t = max(
             (a_coef / i_max_w) ** (1.0 / (alpha - 2.0)),
             (b_coef / i_max_w) ** (1.0 / (alpha - 1.0)),
         )
@@ -330,15 +333,18 @@ def _scale_onto_constraint(
                 math.log(total / i_max_w) * total
                 / ((alpha - 2.0) * mean + (alpha - 1.0) * spread)
             )
-            if not math.isfinite(step):
-                break
             t_next = t * math.exp(step)
             if not t_next > t:
                 return t
-            t = t_next
+            lo, t = t, t_next
         else:
-            raise NoConvergence(
-                f"contour scale still rising after {MAX_NEWTON_STEPS} Newton steps"
+            hi = max(
+                (2.0 * a_coef / i_max_w) ** (1.0 / (alpha - 2.0)),
+                (2.0 * b_coef / i_max_w) ** (1.0 / (alpha - 1.0)),
+            )
+            return solve_root(
+                lambda x: a_coef * x ** (2.0 - alpha) + b_coef * x ** (1.0 - alpha) - i_max_w,
+                RootBracket(lo=lo, hi=hi, tol_rel=1e-13, max_iter=400),
             )
     except OverflowError:
         pass

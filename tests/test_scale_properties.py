@@ -16,6 +16,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from coexist.numerics import RootBracket, q_inverse, solve_root  # noqa: E402
 from coexist.propagation import PowerLawPathLoss  # noqa: E402
+import coexist.protection_multi as protection_multi  # noqa: E402
 from coexist.protection_multi import (  # noqa: E402
     DeploymentField,
     ScaleNotFinite,
@@ -101,6 +102,22 @@ def test_scale_just_above_alpha_two_is_finite():
     m1, m2 = _moments(model, 1e3, 0.5, 1e-12)
     t = _scale_onto_constraint(FIELD, SU, model, 1.0, 1e-12, m1, m2)
     assert abs(t / 1e3 - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2])
+@pytest.mark.parametrize(
+    "alpha, t_root, share, i_max_w",
+    [(2.5, 1e3, 0.5, 1e-12), (3.5, 2e5, 0.01, 1e-14), (6.0, 40.0, 0.99, 1e-8)],
+)
+def test_bisection_finishes_an_unsettled_newton_solve(
+    monkeypatch, steps, alpha, t_root, share, i_max_w
+):
+    model = PowerLawPathLoss(k0=1.0, alpha=alpha)
+    m1, m2 = _moments(model, t_root, share, i_max_w)
+    newton = _scale_onto_constraint(FIELD, SU, model, 1.0, i_max_w, m1, m2)
+    monkeypatch.setattr(protection_multi, "MAX_NEWTON_STEPS", steps)
+    finished = _scale_onto_constraint(FIELD, SU, model, 1.0, i_max_w, m1, m2)
+    assert abs(finished - newton) <= 1e-13 * newton
 
 
 def test_scale_outside_float_range_raises():
