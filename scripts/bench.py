@@ -19,7 +19,8 @@ Writes ``BENCH_<label>.json`` at the repository root with:
   about 16.8k), the time of ``sample_aggregate`` per drawn point (min and median
   ns; the kernel draws only the annulus outside the keep-out distance, so a
   point is one drawn there) and how far the sample mean and variance lie
-  from the analytic Campbell moments, in standard errors.
+  from the analytic Campbell moments, in standard errors.  Each workload
+  runs in its own fresh interpreter.
 
 The script exits 1 if either kernel workload misses its Campbell moments by
 5 standard errors or more; the record is written either way.
@@ -36,6 +37,7 @@ import contextlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import platform
 import statistics
@@ -172,7 +174,7 @@ def _moment_misses(samples, analytic):
     )
 
 
-def time_kernel(repeat):
+def _time_kernel_workload(name, repeat):
     from coexist.protection_multi import campbell_stats, sample_aggregate
     from coexist.protection_single import SecondaryUser
 
@@ -183,30 +185,41 @@ def time_kernel(repeat):
         antenna_height_m=3.0,
         noise_figure_db=8.0,
     )
+    field, pattern, model, d0, outer = _kernel_workloads()[name]
+    profile = _constant_profile(d0)
+    args = (field, su, pattern, model, 1.0, profile, outer)
+    points = field.active_density_per_m2 * math.pi * (outer**2 - d0**2)
+    sample_aggregate(*args, 100, KERNEL_SEED)  # warm caches and allocations
+    ns_per_point = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        samples = sample_aggregate(*args, KERNEL_SAMPLES, KERNEL_SEED)
+        elapsed = time.perf_counter() - t0
+        ns_per_point.append(elapsed / (KERNEL_SAMPLES * points) * 1e9)
+    analytic = campbell_stats(
+        field, su, pattern, model, profile, 1.0, outer_radius_m=outer
+    )
+    z_mean, z_var = _moment_misses(samples, analytic)
+    return {
+        "samples": KERNEL_SAMPLES,
+        "drawn_points_per_sample": points,
+        "ns_per_point": _summary(ns_per_point),
+        "z_mean": z_mean,
+        "z_variance": z_var,
+        "moments_ok": max(z_mean, z_var) < MAX_Z,
+    }
+
+
+def time_kernel(repeat):
+    # each workload in a fresh interpreter: the kernel's arrays are freed and
+    # allocated again per slice, so the dense field's time per point depends
+    # on the allocation sizes the process freed before it (glibc raises its
+    # mmap threshold to the largest freed mmap), e.g. a directional run
+    context = multiprocessing.get_context("spawn")
     result = {}
-    for name, (field, pattern, model, d0, outer) in _kernel_workloads().items():
-        profile = _constant_profile(d0)
-        args = (field, su, pattern, model, 1.0, profile, outer)
-        points = field.active_density_per_m2 * math.pi * (outer**2 - d0**2)
-        sample_aggregate(*args, 100, KERNEL_SEED)  # warm caches and allocations
-        ns_per_point = []
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            samples = sample_aggregate(*args, KERNEL_SAMPLES, KERNEL_SEED)
-            elapsed = time.perf_counter() - t0
-            ns_per_point.append(elapsed / (KERNEL_SAMPLES * points) * 1e9)
-        analytic = campbell_stats(
-            field, su, pattern, model, profile, 1.0, outer_radius_m=outer
-        )
-        z_mean, z_var = _moment_misses(samples, analytic)
-        result[name] = {
-            "samples": KERNEL_SAMPLES,
-            "drawn_points_per_sample": points,
-            "ns_per_point": _summary(ns_per_point),
-            "z_mean": z_mean,
-            "z_variance": z_var,
-            "moments_ok": max(z_mean, z_var) < MAX_Z,
-        }
+    for name in _kernel_workloads():
+        with context.Pool(1) as pool:
+            result[name] = pool.apply(_time_kernel_workload, (name, repeat))
     return result
 
 

@@ -11,35 +11,62 @@ Geometry convention: v = r^2/R^2 on the disk of radius R, and a point
 survives thinning iff v >= (d(theta)/R)^2 with d the keep-out contour.
 Each survivor adds c_point * G(theta) * v^(-alpha/2) to its sample's sum,
 where c_point folds the per-transmitter EIRP, path-loss scale, R^-alpha,
-and FDR.
+and FDR.  Gain and contour are tables over equal azimuth bins: the
+piecewise-constant functions the Campbell quadrature integrates.
+
+The field is split into two independent Poisson fields (the superposition
+and colouring theorems; Kingman, *Poisson Processes*, 1993).  The bulk is
+every bin that holds the modal (gain, contour) pair (g0, d0): a Poisson
+count of mean lam_disk * (bulk share of bins) * (1 - (d0/R)^2) with v
+uniform on ((d0/R)^2, 1], with no azimuth draw, no table read and no
+thinning.  The remainder is every other bin: a uniform index over those
+bins (``Generator.integers``), drawn on the annulus outside their
+smallest keep-out distance and, where their contour is not constant,
+thinned against it, an exact thinning of the same field.  The
+remainder's gains are taken relative to g0, so one float per sample
+holds both fields' sums, and the sums are scaled by c_point * g0 at the
+end.  A constant pair of tables has an empty remainder and draws the
+bulk alone.
 
 Blocks hold whole samples, about ``BLOCK_POINTS`` expected points each,
-and points are generated in slices of at most ``SLICE_POINTS``, so memory
-stays bounded however dense the field.  No point can survive inside the
-smallest keep-out distance d_lo, so points are drawn only on the annulus:
-a Poisson count of mean lam_disk * (1 - (d_lo/R)^2) with v uniform on
-((d_lo/R)^2, 1], an exact thinning of the same field.  The per-point
-survival test runs only where the contour is not constant.  The azimuth
-is a uniform table index (``Generator.integers``) and the tables are read
-at that index: the piecewise-constant gain and contour the Campbell
-quadrature integrates.  Generators are ``numpy.random.Generator(PCG64)``.
+and each field's points are generated in slices of at most
+``SLICE_POINTS``, so memory stays bounded however dense the field.  Each
+block draws from its own ``numpy.random.Generator(PCG64)`` in a fixed
+order: bulk counts, bulk points, remainder counts, remainder points.
 
-The kernel skips the angular draw when both tables are constant, so the
-azimuth stream depends on whether the tables are constant; determinism
-holds per (seed, table shape).
+Before it allocates anything, ``sample_sums`` predicts its work, the
+expected drawn points and the bytes of the sums array, and raises
+``WorkTooLarge`` above ``MAX_DRAWN_POINTS`` or ``MAX_SUMS_BYTES``.
 """
 
 from __future__ import annotations
 
 import importlib.util
+from typing import NamedTuple
 
 import numpy as np
 
 BLOCK_POINTS = 1 << 16  # expected points per block
 SLICE_POINTS = 1 << 18  # most points the kernel holds at once
+# work caps of one sample_sums call: about 10^10 points take minutes at a
+# few ns each; 256 MiB of sums hold 33.5M samples
+MAX_DRAWN_POINTS = 10**10
+MAX_SUMS_BYTES = 1 << 28
 
 # reported by the benchmark's info line; numba is looked up, never imported
 HAS_NUMBA = importlib.util.find_spec("numba") is not None
+
+
+class WorkTooLarge(ValueError):
+    """A run would draw more points or hold more sums than the caps allow.
+
+    ``per_sample`` is set when one sample alone exceeds the point cap, so
+    the field rather than the sample count is the cause.
+    """
+
+    def __init__(self, message: str, per_sample: bool):
+        super().__init__(message)
+        self.per_sample = per_sample
 
 
 def resolve_backend() -> str:
@@ -47,29 +74,75 @@ def resolve_backend() -> str:
     return "numpy"
 
 
-def _block(
-    rng,
-    lam_ann,
-    dn2_lo,
-    dnorm2_tab,
-    gain_tab,
-    dn2_const,
-    gain_const,
-    k_pow,
-    half_neg,
-    out,
-):
-    """Fill ``out`` with one block's per-sample sums of G(theta) * v^(-alpha/2).
+class _Field(NamedTuple):
+    """One Poisson field on the annulus v in (dn2_lo, 1] and its expected count.
+
+    The bulk has no tables.  The remainder has its gains relative to g0,
+    and its contour unless that is constant.
+    """
+
+    lam: float
+    dn2_lo: float
+    dnorm2_tab: np.ndarray | None = None
+    gain_tab: np.ndarray | None = None
+
+
+def _split(lam_disk: float, dnorm2_tab: np.ndarray, gain_tab: np.ndarray):
+    """(g0, fields): the bulk at the modal (gain, contour) pair, then any remainder.
+
+    The modal gain is found first and the modal contour among its bins,
+    two 1-D ``np.unique`` calls (a row-wise unique is two orders slower).
+    """
+    n_tab = gain_tab.shape[0]
+    values, counts = np.unique(gain_tab, return_counts=True)
+    g0 = float(values[np.argmax(counts)])
+    in_g0 = gain_tab == g0
+    values, counts = np.unique(dnorm2_tab[in_g0], return_counts=True)
+    dn2_0 = float(values[np.argmax(counts)])
+    rest = ~in_g0 | (dnorm2_tab != dn2_0)
+    n_rest = int(np.count_nonzero(rest))
+    fields = [_Field(lam_disk * ((n_tab - n_rest) / n_tab) * (1.0 - dn2_0), dn2_0)]
+    if n_rest:
+        rest_dn2 = dnorm2_tab[rest]
+        lo = float(np.min(rest_dn2))
+        lam = lam_disk * (n_rest / n_tab) * (1.0 - lo)
+        # a constant contour keeps every point of the annulus: no thinning
+        thin = None if np.all(rest_dn2 == lo) else rest_dn2
+        fields.append(_Field(lam, lo, thin, gain_tab[rest] / g0))
+    return g0, fields
+
+
+def check_work(points_per_sample: float, n_samples: int, n_sums: int) -> None:
+    """Raise WorkTooLarge if a run exceeds ``MAX_DRAWN_POINTS`` or ``MAX_SUMS_BYTES``.
+
+    ``points_per_sample`` is the expected number of drawn points per sample
+    and ``n_sums`` the length of the sums array (whole blocks).
+    """
+    points = points_per_sample * n_samples
+    if points > MAX_DRAWN_POINTS:
+        raise WorkTooLarge(
+            f"{n_samples} samples of {points_per_sample:.3g} expected points each "
+            f"draw {points:.3g} (cap: {MAX_DRAWN_POINTS:.3g} per run)",
+            per_sample=points_per_sample > MAX_DRAWN_POINTS,
+        )
+    if 8 * n_sums > MAX_SUMS_BYTES:
+        raise WorkTooLarge(
+            f"{n_samples} samples need {8 * n_sums} bytes of sums "
+            f"(cap: {MAX_SUMS_BYTES})",
+            per_sample=False,
+        )
+
+
+def _add_field(rng, field: _Field, k_pow: int, half_neg: float, out: np.ndarray):
+    """Add one field's share of G(theta)/g0 * v^(-alpha/2) to each sample's sum.
 
     Points are drawn on the annulus v in (dn2_lo, 1], in slices of at most
     ``SLICE_POINTS``; a slice may cut through a sample, whose share of each
     slice is added to its sum.
     """
-    counts = rng.poisson(lam_ann, out.shape[0])
+    counts = rng.poisson(field.lam, out.shape[0])
     ends = np.cumsum(counts)
     total = int(ends[-1])
-    n_tab = dnorm2_tab.shape[0]
-    out[:] = 0.0
     for lo in range(0, total, SLICE_POINTS):
         hi = min(lo + SLICE_POINTS, total)
         # samples first..last-1 own points lo..hi-1; seg is each one's share
@@ -79,12 +152,12 @@ def _block(
             ends[first:last] - counts[first:last], lo
         )
         v = rng.random(hi - lo)
-        v *= dn2_lo - 1.0
+        v *= field.dn2_lo - 1.0
         v += 1.0
-        if not (dn2_const and gain_const):
-            j = rng.integers(0, n_tab, hi - lo)
-            if not dn2_const:
-                keep = v >= dnorm2_tab[j]
+        if field.gain_tab is not None:
+            j = rng.integers(0, field.gain_tab.shape[0], hi - lo)
+            if field.dnorm2_tab is not None:
+                keep = v >= field.dnorm2_tab[j]
                 kept_before = np.concatenate(([0], np.cumsum(keep)))
                 seg = np.diff(kept_before[np.cumsum(seg)], prepend=0)
                 v = v[keep]
@@ -96,12 +169,11 @@ def _block(
                 p *= v
         else:
             p = np.power(v, half_neg, out=v)
-        if not gain_const:
-            p *= gain_tab[j]
+        if field.gain_tab is not None:
+            p *= field.gain_tab[j]
         nonempty = seg > 0
         starts = np.cumsum(seg) - seg
         out[first:last][nonempty] += np.add.reduceat(p, starts[nonempty])
-    return out
 
 
 def sample_sums(
@@ -118,30 +190,19 @@ def sample_sums(
     gain_tab = np.ascontiguousarray(gain_tab, dtype=np.float64)
     if gain_tab.shape[0] != dnorm2_tab.shape[0]:
         raise ValueError("tables must have equal length")
-    dn2_const = bool(np.all(dnorm2_tab == dnorm2_tab[0]))
-    gain_const = bool(np.all(gain_tab == gain_tab[0]))
+    g0, fields = _split(float(lam_disk), dnorm2_tab, gain_tab)
     k_pow = int(round(-half_neg)) if -half_neg == round(-half_neg) else 0
-    dn2_lo = float(np.min(dnorm2_tab))
-    lam_ann = float(lam_disk) * (1.0 - dn2_lo)
-    per_block = max(1, int(BLOCK_POINTS // max(lam_ann, 1.0)))
+    lam_total = sum(field.lam for field in fields)
+    per_block = max(1, int(BLOCK_POINTS // max(lam_total, 1.0)))
     n_blocks = (n_samples + per_block - 1) // per_block
+    check_work(lam_total, n_samples, n_blocks * per_block)
     block_seeds = np.random.SeedSequence(seed).generate_state(n_blocks, dtype=np.uint32)
     # the last block is drawn whole and cut, so sample i never depends on
     # n_samples
-    sums = np.empty(n_blocks * per_block, dtype=np.float64)
+    sums = np.zeros(n_blocks * per_block, dtype=np.float64)
     for b in range(n_blocks):
         rng = np.random.Generator(np.random.PCG64(int(block_seeds[b])))
-        _block(
-            rng,
-            lam_ann,
-            dn2_lo,
-            dnorm2_tab,
-            gain_tab,
-            dn2_const,
-            gain_const,
-            k_pow,
-            float(half_neg),
-            sums[b * per_block:(b + 1) * per_block],
-        )
-    scale = float(c_point) * (float(gain_tab[0]) if gain_const else 1.0)
-    return scale * sums[:n_samples]
+        out = sums[b * per_block:(b + 1) * per_block]
+        for field in fields:
+            _add_field(rng, field, k_pow, float(half_neg), out)
+    return (float(c_point) * g0) * sums[:n_samples]

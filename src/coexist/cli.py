@@ -557,17 +557,21 @@ def _cmd_validate_mc(
         fdr,
         outer_radius_m=outer_radius,
     )
-    samples = sample_aggregate(
-        field,
-        scenario.su,
-        scenario.pattern,
-        model,
-        fdr,
-        profile,
-        outer_radius,
-        n_samples,
-        seed,
-    )
+    try:
+        samples = sample_aggregate(
+            field,
+            scenario.su,
+            scenario.pattern,
+            model,
+            fdr,
+            profile,
+            outer_radius,
+            n_samples,
+            seed,
+        )
+    except _mc_kernels.WorkTooLarge as exc:
+        key = "field.density_per_m2" if exc.per_sample else "mc.samples"
+        raise ValidationError(f"{key}: {exc}") from None
     mean_emp = float(np.mean(samples))
     var_emp = float(np.var(samples, ddof=1))
     quantiles = mc.get("i_max_quantiles", [0.05, 0.1, 0.2])

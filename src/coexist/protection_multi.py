@@ -643,8 +643,15 @@ def sample_aggregate(
     smallest keep-out distance and thinned against the contour, which
     realises the annulus process exactly) and sums
     P_SU * G(theta) * l(r) / FDR over the points.  Gain and contour are
-    tabulated on ``PROFILE_TABLE_SIZE`` azimuth bins, and a point reads the
-    bin it falls in, as the Campbell quadrature does.
+    tabulated on ``PROFILE_TABLE_SIZE`` azimuth bins, piecewise constant
+    as the Campbell quadrature integrates them.  The bins that share the
+    modal (gain, contour) pair are sampled as one field with no azimuth
+    draw; the other bins as a second, independent field whose points draw
+    a bin and read its tables.
+
+    Raises ``WorkTooLarge`` (from the kernel) before sampling when the
+    expected drawn points or the bytes of the sums exceed the kernel's
+    caps.
 
     The truncated field misses analytic mean mass proportional to
     outer_radius^(2-alpha); if that exceeds 1% of the untruncated mean the

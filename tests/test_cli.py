@@ -398,6 +398,56 @@ def test_override_outside_schema_exits_3(tmp_path, capsys, flag, value, field):
     assert not out.exists()
 
 
+def _refuse_to_sample(*args, **kwargs):
+    raise AssertionError("sampling started before the work check")
+
+
+@pytest.mark.parametrize(
+    "caps, samples, field",
+    [
+        # 2000 samples of ~1.8k points each: over a 10^6-point cap
+        ({"MAX_DRAWN_POINTS": 10**6}, "2000", "mc.samples"),
+        # one sample alone is over a 1000-point cap: the field is the cause
+        ({"MAX_DRAWN_POINTS": 1000}, "1", "field.density_per_m2"),
+        # 2000 samples need 16 KB of sums
+        ({"MAX_SUMS_BYTES": 8 * 1024}, "2000", "mc.samples"),
+    ],
+)
+def test_work_over_the_cap_exits_3(tmp_path, capsys, monkeypatch, caps, samples, field):
+    for name, value in caps.items():
+        monkeypatch.setattr(_mc_kernels, name, value)
+    monkeypatch.setattr(_mc_kernels, "_add_field", _refuse_to_sample)
+    out = tmp_path / "o"
+    rc = main(["validate-mc", "--config", "type_b_radar", "--samples", samples,
+               "--out", str(out)])
+    assert rc == 3
+    assert f"error: {field}:" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("margin, rc", [(1.01, 0), (0.99, 3)])
+def test_work_prediction_is_the_expected_point_count(tmp_path, monkeypatch, margin, rc):
+    # the fixture draws density * pi * (R^2 - d^2) points per sample on average
+    cfg = json.loads(fixture_path("type_b_radar").read_text())
+    field, mc = cfg["field"], cfg["mc"]
+    per_sample = (field["density_per_m2"] * field["activity_prob"] * np.pi
+                  * (mc["outer_radius_m"] ** 2 - mc["profile"]["distance_m"] ** 2))
+    monkeypatch.setattr(_mc_kernels, "MAX_DRAWN_POINTS", margin * 200 * per_sample)
+    args = ["validate-mc", "--config", "type_b_radar", "--samples", "200"]
+    assert main(args + ["--out", str(tmp_path / "o")]) == rc
+
+
+def test_work_check_needs_no_allocation():
+    # a trillion samples are refused by arithmetic alone
+    with pytest.raises(_mc_kernels.WorkTooLarge) as caught:
+        _mc_kernels.check_work(1.8e3, 10**12, 10**12)
+    assert not caught.value.per_sample
+    with pytest.raises(_mc_kernels.WorkTooLarge) as caught:
+        _mc_kernels.check_work(2.0 * _mc_kernels.MAX_DRAWN_POINTS, 1, 1)
+    assert caught.value.per_sample
+    _mc_kernels.check_work(1.8e3, 10**6, 10**6)
+
+
 @pytest.mark.parametrize(
     "grid, message",
     [

@@ -458,3 +458,86 @@ def test_sampler_rejects_severe_truncation():
             field, _su(), iso, model, 1.0, _const_profile(1000.0), 1100.0,
             n_samples=100, seed=0,
         )
+
+
+def test_sampler_split_matches_campbell():
+    # the bulk (modal back-lobe bins) and the remainder are sampled as two
+    # fields; together they must realise the whole field: (a) a constant
+    # contour, remainder not thinned; (b) the optimal contour, remainder
+    # thinned.  40k samples: mean within 5 SE, variance within 5%
+    from coexist import _mc_kernels
+    from coexist.protection_multi import PROFILE_TABLE_SIZE, gain_grid
+
+    field, su, pattern, model = _field(), _su(), _pattern(), _model()
+    theta, gains = gain_grid(pattern, PROFILE_TABLE_SIZE)
+    optimal = policy_profile(OptimalPolicy(gamma=500.0, alpha=model.alpha), pattern)
+    for profile, thinned in ((_const_profile(2000.0), False), (optimal, True)):
+        dnorm2 = (profile(theta) / 24e3) ** 2
+        _, (bulk, rest) = _mc_kernels._split(1.0, dnorm2, gains)
+        assert (rest.dnorm2_tab is not None) == thinned
+        stats = campbell_stats(field, su, pattern, model, profile, 1.0,
+                               outer_radius_m=24e3)
+        x = sample_aggregate(field, su, pattern, model, 1.0, profile, 24e3,
+                             n_samples=40_000, seed=0)
+        se_mean = stats.std_w / math.sqrt(x.size)
+        assert abs(x.mean() - stats.mean_w) < 5.0 * se_mean
+        assert abs(x.var(ddof=1) / stats.variance_w2 - 1.0) < 0.05
+
+
+# sample_sums outputs of constant tables, recorded before the bulk/remainder
+# split; a constant pair of tables must keep this stream bit for bit
+_DENSE_SUMS = [
+    "0x1.f39fc0bfeadbcp-51", "0x1.f754b75144bdap-51", "0x1.e91a60e49e367p-51",
+    "0x1.e32bbc4091398p-51", "0x1.f2cb6e975c4cbp-51", "0x1.fd548bd14ae17p-51",
+    "0x1.02c927e701435p-50", "0x1.f7530c2f6b367p-51", "0x1.f769da9b16bf6p-51",
+    "0x1.f74c5a915fb58p-51", "0x1.f249e8f9f1739p-51", "0x1.efee326b5d71bp-51",
+    "0x1.fd046c771f720p-51", "0x1.feef9ec20bd3dp-51", "0x1.f8084d63123b2p-51",
+    "0x1.ef9d2822477a3p-51", "0x1.fc2a83a5c90adp-51", "0x1.fed868ed04208p-51",
+    "0x1.e9b4a6853363fp-51", "0x1.e33a230e74687p-51", "0x1.f2c4ea6e4f380p-51",
+    "0x1.f2a4aafe1c08ep-51", "0x1.f4bf177cfe74ep-51", "0x1.f7dabd7e9081dp-51",
+    "0x1.f5ebb1eeb6b0fp-51", "0x1.f38db849a2b1fp-51", "0x1.f957606192796p-51",
+    "0x1.0039ab0c022e7p-50", "0x1.f4301029b731cp-51", "0x1.fdc20aaac8c98p-51",
+    "0x1.ee89187c8d559p-51", "0x1.0388ed070c2b3p-50", "0x1.f08346722819ap-51",
+    "0x1.e98309ebc2e12p-51", "0x1.046a84bf6560ap-50", "0x1.051d9c6ff28dcp-50",
+    "0x1.ee09861889ff9p-51", "0x1.0133ab2b0dffap-50", "0x1.f0d4c21930d85p-51",
+    "0x1.fcaf206b17fd5p-51",
+]
+_SMALL_SUMS = [
+    "0x1.61f61a4973eb6p+5", "0x1.ac5a548a07b0ap+4", "0x1.6c244813e598cp+4",
+    "0x1.08c376329f6fap+6", "0x1.ac77a63aee6d4p+4", "0x1.a974e8dc6c29ep+5",
+    "0x1.c226def1acf82p+4", "0x1.a39546f279f25p+4", "0x1.0fcc442ac49c8p+4",
+    "0x1.e1b04f26dab53p+4", "0x1.cdf3532362c40p+5", "0x1.653dc6997692cp+3",
+]
+
+
+def test_sampler_constant_tables_stream_is_pinned():
+    from coexist import _mc_kernels
+
+    # criterion 7's dense tail field: 3 samples per block, 14 blocks
+    dense = _mc_kernels.sample_sums(
+        lam_disk=5.6e-4 * math.pi * 3250.0**2,
+        dnorm2_tab=np.full(16384, (1000.0 / 3250.0) ** 2),
+        gain_tab=np.ones(16384),
+        c_point=3250.0**-6.0,
+        half_neg=-3.0,
+        n_samples=40,
+        seed=3,
+    )
+    assert [float(s).hex() for s in dense] == _DENSE_SUMS
+    same = sample_aggregate(
+        DeploymentField(5.6e-4, 1.0, 0.1), _su(), ConstantGain(gain_dbi=0.0),
+        PowerLawPathLoss(k0=1.0, alpha=6.0), 1.0, _const_profile(1000.0), 3250.0,
+        n_samples=40, seed=3,
+    )
+    assert np.array_equal(same, dense)
+    # a non-integer exponent, and a scale (c_point * g0) whose rounding shows
+    small = _mc_kernels.sample_sums(
+        lam_disk=20.0,
+        dnorm2_tab=np.full(16, 0.25),
+        gain_tab=np.full(16, 2.5),
+        c_point=0.3,
+        half_neg=-1.985,
+        n_samples=12,
+        seed=7,
+    )
+    assert [float(s).hex() for s in small] == _SMALL_SUMS

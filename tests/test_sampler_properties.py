@@ -25,10 +25,24 @@ sizes = st.integers(1, 40)
 
 @st.composite
 def tables(draw):
-    """(dnorm2_tab, gain_tab) on 16 bins, each constant or directional."""
+    """(dnorm2_tab, gain_tab) on 16 bins: each constant or directional, or a plateau.
+
+    A plateau holds one (gain, contour) pair on all but 1-5 bins, with a
+    constant or a varying contour on the others, so the kernel's bulk and
+    remainder fields are both non-empty.
+    """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dnorm2 = rng.uniform(0.0, 0.5, 16)
     gains = rng.uniform(0.1, 10.0, 16)
+    if draw(st.booleans()):
+        plateau = np.ones(16, dtype=bool)
+        plateau[rng.choice(16, draw(st.integers(1, 5)), replace=False)] = False
+        gains[plateau] = rng.uniform(0.1, 10.0)
+        if draw(st.booleans()):
+            dnorm2[:] = dnorm2[0]
+        else:
+            dnorm2[plateau] = rng.uniform(0.0, 0.5)
+        return dnorm2, gains
     if draw(st.booleans()):
         dnorm2[:] = dnorm2[0]
     if draw(st.booleans()):
