@@ -14,6 +14,9 @@ Writes ``BENCH_<label>.json`` at the repository root with:
 - ``protect_multi_policies_s``: the same for ``protect-multi`` on
   ``type_b_radar`` under each field policy (``--policy``), since the policies
   solve very different numbers of contour scales;
+- ``write_s``: per subcommand and fixture, the time spent inside the CLI's
+  output writers (``_OutputTracker.table`` and ``.summary``), measured in
+  separate runs in which only those two methods are wrapped by a clock;
 - ``kernel``: per Monte Carlo workload (a sparse field under the directional
   pattern, about 1.8k drawn points per sample, and a dense isotropic field,
   about 16.8k), the time of ``sample_aggregate`` per drawn point (min and median
@@ -34,6 +37,7 @@ time another checkout:
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import math
@@ -101,18 +105,24 @@ def time_loads(repeat):
     return result
 
 
-def _time_main(argv, repeat):
-    """Exit code and time summary of ``coexist.cli.main(argv + --out ...)``."""
+def _time_main(argv, repeat, spent=None):
+    """Exit code and time summary of ``coexist.cli.main(argv + --out ...)``.
+
+    With ``spent``, a list that a clock fills during each run, the time
+    of a run is the sum of that list instead of its wall time.
+    """
     from coexist.cli import main
 
     times, codes = [], set()
     with tempfile.TemporaryDirectory() as tmp:
         for i in range(repeat):
             out = Path(tmp) / str(i)
+            if spent is not None:
+                spent.clear()
             t0 = time.perf_counter()
             with contextlib.redirect_stderr(io.StringIO()):
                 codes.add(main([*argv, "--out", str(out)]))
-            times.append(time.perf_counter() - t0)
+            times.append(time.perf_counter() - t0 if spent is None else sum(spent))
     (code,) = codes
     return {"exit": code, **_summary(times)}
 
@@ -132,6 +142,43 @@ def time_policies(repeat):
         )
         for policy in FIELD_POLICIES
     }
+
+
+@contextlib.contextmanager
+def _clocked_writers():
+    """Wrap ``_OutputTracker.table`` and ``.summary``; yields the list of their call times."""
+    from coexist.cli import _OutputTracker
+
+    spent = []
+    originals = {name: getattr(_OutputTracker, name) for name in ("table", "summary")}
+
+    def clocked(method):
+        @functools.wraps(method)
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return method(*args, **kwargs)
+            finally:
+                spent.append(time.perf_counter() - t0)
+
+        return wrapper
+
+    for name, method in originals.items():
+        setattr(_OutputTracker, name, clocked(method))
+    try:
+        yield spent
+    finally:
+        for name, method in originals.items():
+            setattr(_OutputTracker, name, method)
+
+
+def time_writes(repeat):
+    with _clocked_writers() as spent:
+        return {
+            f"{command}/{name}": _time_main([command, "--config", name], repeat, spent)
+            for command in COMMANDS
+            for name in FIXTURES
+        }
 
 
 def _kernel_workloads():
@@ -245,6 +292,7 @@ def main(argv=None):
         "load_scenario_s": time_loads(max(args.repeat, 50)),
         "commands_s": time_commands(args.repeat),
         "protect_multi_policies_s": time_policies(args.repeat),
+        "write_s": time_writes(args.repeat),
         "kernel": time_kernel(args.repeat),
     }
     path = ROOT / f"BENCH_{args.label}.json"

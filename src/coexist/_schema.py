@@ -333,3 +333,27 @@ _KEYWORDS = {
     "maxItems": _length("maxItems", list, True),
     "minLength": _length("minLength", str, False),
 }
+
+
+def integer_paths(schema: Dict[str, Any], root: Optional[Dict[str, Any]] = None) -> List[Path]:
+    """Key path of every object field typed ``integer``.
+
+    Follows ``properties``, every ``oneOf`` branch and ``$ref``, so a value
+    can sit at one of these paths in a branch it did not match.  Array
+    items are not followed.
+    """
+    root = schema if root is None else root
+    found: List[Path] = []
+
+    def walk(node: Dict[str, Any], path: Path) -> None:
+        if node.get("type") == "integer" and path not in found:
+            found.append(path)
+        if "$ref" in node:
+            walk(root["$defs"][node["$ref"].rpartition("/")[2]], path)
+        for key, child in node.get("properties", {}).items():
+            walk(child, path + (key,))
+        for child in node.get("oneOf", ()):
+            walk(child, path)
+
+    walk(schema, ())
+    return found

@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 config parse failure, 3 validation failure,
 
 from __future__ import annotations
 
-import argparse
 import copy
 import json
 import math
@@ -60,6 +59,7 @@ from .protection_multi import (
     OptimalPolicy,
     RadarBlindPolicy,
     SharingPolicy,
+    TruncationTooSevere,
     campbell_stats,
     default_lobe_width_rad,
     gain_grid,
@@ -132,6 +132,13 @@ def _format_cell(value: Any) -> str:
     return str(value)
 
 
+def _csv_cells(values: List[Any]) -> Any:
+    """``_format_cell`` over one column; an all-float column skips the per-cell call."""
+    if set(map(type, values)) <= {float}:
+        return map(float.__repr__, values)
+    return map(_format_cell, values)
+
+
 class _OutputTracker:
     """Writes artifacts and removes everything it wrote if the run fails."""
 
@@ -140,20 +147,27 @@ class _OutputTracker:
         self.fmt = fmt
         self.written: List[Path] = []
 
-    def table(self, name: str, columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> Path:
+    def table(
+        self, name: str, columns: Sequence[str], data: Sequence[Sequence[Any]]
+    ) -> Path:
+        """Write one table given column by column: ``data[j]`` holds column j."""
+        if len(data) != len(columns):
+            raise ValueError(f"table {name}: {len(columns)} columns, {len(data)} given")
+        # numpy arrays become Python scalars once per column, not once per cell
+        values = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in data]
+        if len(set(map(len, values))) > 1:
+            raise ValueError(f"table {name}: columns differ in length")
         if self.fmt == "json":
             path = self.out_dir / f"{name}.json"
-            payload = {
-                "columns": list(columns),
-                "rows": [[_sanitize(v) for v in row] for row in rows],
-            }
+            cells = [map(_sanitize, column) for column in values]
+            payload = {"columns": list(columns), "rows": list(map(list, zip(*cells)))}
             path.write_text(
                 json.dumps(payload, indent=2, sort_keys=True) + "\n"
             )
         else:
             path = self.out_dir / f"{name}.csv"
-            lines = [",".join(columns)]
-            lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
+            cells = [_csv_cells(column) for column in values]
+            lines = [",".join(columns), *map(",".join, zip(*cells))]
             path.write_text("\n".join(lines) + "\n")
         self.written.append(path)
         return path
@@ -302,20 +316,15 @@ def _cmd_detect(scenario: Scenario, tracker: _OutputTracker, opts) -> Dict[str, 
     }
     if "distance_m" in scenario.sweeps:
         grid = resolve_grid(scenario.sweeps["distance_m"], "sweeps.distance_m")
-        rows = []
-        for d in grid:
-            probe = Target(range_m=d, rcs_m2=target.rcs_m2)
-            rows.append(
-                (
-                    d,
-                    linear_to_db(single_pulse_snr(radar, probe)),
-                    linear_to_db(effective_snr(radar, probe)),
-                )
-            )
+        probes = [Target(range_m=d, rcs_m2=target.rcs_m2) for d in grid]
         tracker.table(
             "detect_sweep",
             ("distance_m", "single_pulse_snr_db", "effective_snr_db"),
-            rows,
+            (
+                grid,
+                [linear_to_db(single_pulse_snr(radar, p)) for p in probes],
+                [linear_to_db(effective_snr(radar, p)) for p in probes],
+            ),
         )
     return results
 
@@ -348,7 +357,7 @@ def _cmd_imax(scenario: Scenario, tracker: _OutputTracker, opts) -> Dict[str, An
             baseline_roc.pfa,
             grid,
         )
-        tracker.table("imax_sweep", ("pd_drop", "inr_db"), sweep)
+        tracker.table("imax_sweep", ("pd_drop", "inr_db"), tuple(zip(*sweep)))
     return results
 
 
@@ -378,10 +387,10 @@ def _cmd_protect_single(
         grid = np.array(resolve_grid(spec, "sweeps.theta_deg"))
     else:
         grid = np.linspace(-180.0, 180.0, 721)
-    gains = gain_dbi(scenario.pattern, grid)
-    rows = list(zip(grid.tolist(), gains.tolist(), distance_at(grid).tolist()))
     tracker.table(
-        "protect_single", ("theta_deg", "gain_dbi", "protection_distance_m"), rows
+        "protect_single",
+        ("theta_deg", "gain_dbi", "protection_distance_m"),
+        (grid, gain_dbi(scenario.pattern, grid), distance_at(grid)),
     )
     return results
 
@@ -420,27 +429,30 @@ def _cmd_protect_multi(
         }
     )
 
-    contour_theta = [float(t) for t in np.linspace(-180.0, 180.0, 721)]
-    contour_d = profile(np.radians(contour_theta))
+    contour_theta = np.linspace(-180.0, 180.0, 721)
     tracker.table(
         "protect_multi_contour",
         ("theta_deg", "distance_m"),
-        list(zip(contour_theta, [float(d) for d in contour_d])),
+        (contour_theta, profile(np.radians(contour_theta))),
     )
 
     if "density_per_m2" in scenario.sweeps:
         grid = resolve_grid(
             scenario.sweeps["density_per_m2"], "sweeps.density_per_m2"
         )
-        rows = []
-        for density in grid:
-            sub_scenario = replace(
-                scenario, field=replace(field, density_per_m2=density)
-            )
-            _, sub_results = _solve_policy(sub_scenario, cfg, budget.i_max_w, fdr)
-            rows.append((density, sub_results["d_min_m"], sub_results["area_m2"]))
+        solved = [
+            _solve_policy(
+                replace(scenario, field=replace(field, density_per_m2=density)),
+                cfg,
+                budget.i_max_w,
+                fdr,
+            )[1]
+            for density in grid
+        ]
         tracker.table(
-            "protect_multi_sweep", ("density_per_m2", "d_min_m", "area_m2"), rows
+            "protect_multi_sweep",
+            ("density_per_m2", "d_min_m", "area_m2"),
+            (grid, [r["d_min_m"] for r in solved], [r["area_m2"] for r in solved]),
         )
     return results
 
@@ -472,7 +484,7 @@ def _cmd_throughput(
     tracker.table(
         "throughput_trace",
         ("time_s", "azimuth_deg", "sinr_db", "rate_mbps"),
-        trace,
+        tuple(zip(*trace)),
     )
 
     def boresight_dbm(rate_mode: str) -> float:
@@ -505,16 +517,6 @@ def _cmd_throughput(
 
     if "distance_m" in scenario.sweeps:
         grid = resolve_grid(scenario.sweeps["distance_m"], "sweeps.distance_m")
-        rows = []
-        for d in grid:
-            rows.append(
-                (
-                    d,
-                    duty_factor(policy, scenario.pattern, d),
-                    avg_rate(d, "peak"),
-                    avg_rate(d, "averaged"),
-                )
-            )
         tracker.table(
             "throughput_sweep",
             (
@@ -523,7 +525,12 @@ def _cmd_throughput(
                 "avg_rate_peak_mbps",
                 "avg_rate_averaged_mbps",
             ),
-            rows,
+            (
+                grid,
+                [duty_factor(policy, scenario.pattern, d) for d in grid],
+                [avg_rate(d, "peak") for d in grid],
+                [avg_rate(d, "averaged") for d in grid],
+            ),
         )
     return results
 
@@ -548,16 +555,16 @@ def _cmd_validate_mc(
         policy = OptimalPolicy(gamma=profile_cfg["gamma"], alpha=model.alpha)
     profile = policy_profile(policy, scenario.pattern)
 
-    stats = campbell_stats(
-        field,
-        scenario.su,
-        scenario.pattern,
-        model,
-        profile,
-        fdr,
-        outer_radius_m=outer_radius,
-    )
     try:
+        stats = campbell_stats(
+            field,
+            scenario.su,
+            scenario.pattern,
+            model,
+            profile,
+            fdr,
+            outer_radius_m=outer_radius,
+        )
         samples = sample_aggregate(
             field,
             scenario.su,
@@ -569,6 +576,8 @@ def _cmd_validate_mc(
             n_samples,
             seed,
         )
+    except TruncationTooSevere as exc:
+        raise ValidationError(f"mc.outer_radius_m: {exc}") from None
     except _mc_kernels.WorkTooLarge as exc:
         key = "field.density_per_m2" if exc.per_sample else "mc.samples"
         raise ValidationError(f"{key}: {exc}") from None
@@ -576,15 +585,10 @@ def _cmd_validate_mc(
     var_emp = float(np.var(samples, ddof=1))
     quantiles = mc.get("i_max_quantiles", [0.05, 0.1, 0.2])
     z99 = 2.5758293035489004  # two-sided 99% normal quantile
-    rows = []
-    all_within = True
-    for p in quantiles:
-        i_max = stats.mean_w + q_inverse(p) * stats.std_w
-        empirical = float(np.mean(samples > i_max))
-        half_width = z99 * math.sqrt(p * (1.0 - p) / n_samples)
-        within = abs(empirical - p) <= half_width
-        all_within = all_within and within
-        rows.append((p, i_max, p, empirical, half_width, within))
+    i_max = [stats.mean_w + q_inverse(p) * stats.std_w for p in quantiles]
+    empirical = [float(np.mean(samples > level)) for level in i_max]
+    half_width = [z99 * math.sqrt(p * (1.0 - p) / n_samples) for p in quantiles]
+    within = [abs(e - p) <= h for e, p, h in zip(empirical, quantiles, half_width)]
     tracker.table(
         "validate_mc",
         (
@@ -595,7 +599,7 @@ def _cmd_validate_mc(
             "ci99_halfwidth",
             "within_ci",
         ),
-        rows,
+        (quantiles, i_max, quantiles, empirical, half_width, within),
     )
     return {
         "backend": _mc_kernels.resolve_backend(),
@@ -607,7 +611,7 @@ def _cmd_validate_mc(
         "variance_analytic_w2": stats.variance_w2,
         "variance_empirical_w2": var_emp,
         "variance_rel_error": var_emp / stats.variance_w2 - 1.0,
-        "exceedance_all_within_ci99": all_within,
+        "exceedance_all_within_ci99": all(within),
     }
 
 
@@ -624,16 +628,14 @@ def _cmd_fit_pathloss(
     k0, alpha = fit_power_law(zip(distances, attens))
     fitted = PowerLawPathLoss(k0=k0, alpha=alpha)
     r2 = log_log_r_squared(distances, attens)
-    rows = [
-        (
-            float(d),
-            linear_to_db(float(a)),
-            linear_to_db(k0 * float(d) ** (-alpha)),
-        )
-        for d, a in zip(distances, attens)
-    ]
     tracker.table(
-        "fit_pathloss", ("distance_m", "attenuation_db", "fit_attenuation_db"), rows
+        "fit_pathloss",
+        ("distance_m", "attenuation_db", "fit_attenuation_db"),
+        (
+            distances,
+            [linear_to_db(a) for a in attens.tolist()],
+            [linear_to_db(k0 * d ** (-alpha)) for d in distances.tolist()],
+        ),
     )
     return {
         "k0": fitted.k0,
@@ -709,6 +711,10 @@ def run_command(
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # imported here, not at module level: library callers of run_command
+    # never parse arguments, and argparse (with gettext) is a few ms to import
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="coexist",
         description="Radar/WiFi spectrum-sharing coexistence studies",

@@ -24,7 +24,7 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from ._schema import Validator, compile_schema
+from ._schema import Validator, compile_schema, integer_paths
 from .numerics import db_to_linear
 from .propagation import (
     AntennaPattern,
@@ -100,6 +100,50 @@ def _validator(path: str = "") -> Validator:
     return compile_schema(node, root=schema)
 
 
+@functools.cache
+def _integer_paths() -> tuple:
+    return tuple(integer_paths(_load_schema()))
+
+
+@functools.cache
+def _db_paths() -> tuple:
+    """(section, key) of every ``*_db``/``*_dbi`` field of a scenario section."""
+    return tuple(
+        (section, key)
+        for section, node in _load_schema()["properties"].items()
+        for key in node.get("properties", {})
+        if key.endswith(("_db", "_dbi"))
+    )
+
+
+def _linear(path: str, value_db: float) -> float:
+    """``db_to_linear``, naming the field whose value overflows a float."""
+    try:
+        return db_to_linear(value_db)
+    except OverflowError:
+        raise ValidationError(
+            f"{path}: {value_db!r} dB is beyond the float range as a linear ratio"
+        ) from None
+
+
+def _normalise(raw: Dict[str, Any]) -> None:
+    """Make integral floats in integer fields ints; refuse dB values that overflow.
+
+    JSON Schema counts 1e6 as an integer, but the program needs an int there.
+    """
+    for *parents, key in _integer_paths():
+        node = raw
+        for name in parents:
+            node = node.get(name) if node.__class__ is dict else None
+        if node.__class__ is dict and node.get(key).__class__ is float:
+            if node[key].is_integer():
+                node[key] = int(node[key])
+    for section, key in _db_paths():
+        cfg = raw.get(section)
+        if cfg is not None and key in cfg:
+            _linear(f"{section}.{key}", cfg[key])
+
+
 def fixture_path(name: str) -> Path:
     """Filesystem path of a bundled scenario fixture (e.g. 'type_b_radar')."""
     if not name.endswith(".json"):
@@ -162,10 +206,13 @@ def _build_pathloss(cfg: Dict[str, Any], scenario_dir: Path) -> PathLossModel:
         # a relative path names a file beside the scenario, wherever it runs
         try:
             return TabulatedPathLoss.from_csv(scenario_dir / cfg["csv_path"])
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, OverflowError) as exc:
             raise ValidationError(f"pathloss.csv_path: {exc}") from exc
     distances = tuple(float(row[0]) for row in cfg["samples"])
-    attens = tuple(db_to_linear(float(row[1])) for row in cfg["samples"])
+    attens = tuple(
+        _linear(f"pathloss.samples.{i}.1", float(row[1]))
+        for i, row in enumerate(cfg["samples"])
+    )
     return TabulatedPathLoss(distances_m=distances, attenuations=attens)
 
 
@@ -189,6 +236,7 @@ def load_scenario(path: str | Path) -> Scenario:
     if err is not None:
         where = ".".join(str(p) for p in err[0]) or "<root>"
         raise ValidationError(f"{where}: {err[1]}")
+    _normalise(raw)
 
     def build(section: str, builder, *args):
         try:

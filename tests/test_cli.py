@@ -692,3 +692,84 @@ def test_unread_beta_sweep_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: sweeps:")
     assert "'beta' was unexpected" in err
+
+
+def _set(cfg, path, value):
+    *parents, key = path
+    for name in parents:
+        cfg = cfg.setdefault(name, {})
+    cfg[key] = value
+
+
+@pytest.mark.parametrize(
+    "command, base, path, value",
+    [
+        ("validate-mc", "type_b_radar", ("mc", "seed"), 1e6),
+        ("validate-mc", "type_b_radar", ("mc", "samples"), 2e2),
+        ("throughput", "wifi_sharing", ("wifi", "n_time_steps"), 1e2),
+        ("throughput", "wifi_sharing", ("sweeps", "distance_m", "count"), 5.0),
+        ("protect-multi", "type_b_radar", ("sweeps", "density_per_m2", "count"), 3.0),
+        ("protect-multi", "type_b_radar", ("policy", "beta_grid"),
+         {"start": 1.0, "stop": 16.0, "count": 31.0}),
+        ("protect-single", "type_b_radar", ("sweeps", "theta_deg"),
+         {"start": -180.0, "stop": 180.0, "count": 37.0}),
+        ("imax", "type_b_radar", ("sweeps", "pd_drop"),
+         {"start": 0.01, "stop": 0.2, "count": 4.0}),
+    ],
+)
+def test_integral_float_in_integer_field_runs_as_the_int(tmp_path, command, base, path, value):
+    # JSON Schema counts 1e6 as an integer; the run must equal the int's,
+    # the config echo in summary.json included
+    if isinstance(value, dict):
+        as_int = dict(value, count=int(value["count"]))
+    else:
+        as_int = int(value)
+    outs = []
+    for tag, v in (("float", value), ("int", as_int)):
+        config = _variant(tmp_path, base, lambda cfg: _set(cfg, path, v), name=f"{tag}.json")
+        out = tmp_path / tag
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0
+        outs.append(out)
+    match, mismatch, errors = filecmp.cmpfiles(
+        *outs, sorted(p.name for p in outs[1].iterdir()), shallow=False
+    )
+    assert (mismatch, errors) == ([], []) and len(match) >= 2
+
+
+@pytest.mark.parametrize(
+    "command, base, path, value, field",
+    [
+        ("detect", "type_b_radar", ("radar", "noise_figure_db"), 1e6,
+         "radar.noise_figure_db"),
+        ("throughput", "wifi_sharing", ("wifi", "link_loss_db"), 1e300,
+         "wifi.link_loss_db"),
+        ("protect-single", "type_b_radar", ("pathloss",),
+         {"type": "tabulated", "samples": [[100.0, -40.0], [1000.0, 4000.0]]},
+         "pathloss.samples.1.1"),
+    ],
+)
+def test_overflowing_db_field_exits_3(tmp_path, capsys, command, base, path, value, field):
+    config = _variant(tmp_path, base, lambda cfg: _set(cfg, path, value))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ")
+    assert "beyond the float range" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "radius, words",
+    [(1500.0, "must exceed the profile everywhere"), (10000.0, "of the analytic mean")],
+)
+def test_outer_radius_too_small_exits_3(tmp_path, capsys, radius, words):
+    # inside the 2 km contour, or outside it but dropping over 1% of the mean
+    config = _variant(
+        tmp_path, "type_b_radar", lambda cfg: _set(cfg, ("mc", "outer_radius_m"), radius)
+    )
+    out = tmp_path / "o"
+    assert main(["validate-mc", "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: mc.outer_radius_m: ")
+    assert words in err
+    assert list(out.iterdir()) == []

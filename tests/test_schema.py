@@ -25,7 +25,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 import coexist  # noqa: E402
 from coexist import config  # noqa: E402
-from coexist._schema import SchemaError, compile_schema  # noqa: E402
+from coexist._schema import SchemaError, compile_schema, integer_paths  # noqa: E402
 from coexist.config import ValidationError, check_field, fixture_path, load_scenario  # noqa: E402
 from test_config import MINIMAL  # noqa: E402
 
@@ -355,3 +355,20 @@ def test_loading_never_imports_jsonschema(tmp_path):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.splitlines() == ["<root>: 'su' is a required property", "False"]
+
+
+def test_integer_paths_of_the_scenario_schema():
+    # every field the loader turns from an integral float into an int
+    assert sorted(integer_paths(SCHEMA), key=str) == sorted(
+        [("mc", "samples"), ("mc", "seed"), ("wifi", "n_time_steps"),
+         ("policy", "beta_grid", "count")]
+        + [("sweeps", name, "count") for name in ("theta_deg", "distance_m", "density_per_m2", "pd_drop")],
+        key=str,
+    )
+    # through a $ref and both oneOf branches, each path once
+    schema = {
+        "properties": {"a": {"$ref": "#/$defs/n"}},
+        "$defs": {"n": {"oneOf": [{"properties": {"k": {"type": "integer"}}},
+                                  {"properties": {"k": {"type": "integer"}}}]}},
+    }
+    assert integer_paths(schema) == [("a", "k")]

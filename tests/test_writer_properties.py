@@ -1,0 +1,105 @@
+"""Property tests: the column-at-a-time table writer writes what a per-cell writer would.
+
+The reference below formats one cell at a time, as the CLI's tables were
+first written: numpy scalars as their Python values, booleans as
+``true``/``false``, floats by ``repr`` and everything else by ``str`` for
+CSV; ``_sanitize`` per cell and ``json.dumps(indent=2, sort_keys=True)``
+for JSON.
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from coexist.cli import _OutputTracker, _sanitize  # noqa: E402
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+# values around repr's switch to exponent notation (1e16 and 1e-4), the
+# smallest subnormal, signed zero and the non-finite floats
+EDGE_FLOATS = [
+    float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e16,
+    9999999999999998.0, 1e-5, 1e-4, 0.0001234, -1e16, 1.7976931348623157e308,
+]
+
+
+def _reference_cell(value):
+    if isinstance(value, (np.floating, np.integer, np.bool_)):
+        value = value.item()
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _reference(fmt, columns, data):
+    rows = list(zip(*data))
+    if fmt == "json":
+        payload = {"columns": list(columns), "rows": [[_sanitize(v) for v in r] for r in rows]}
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    lines = [",".join(columns)] + [",".join(_reference_cell(v) for v in r) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+floats = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+floats32 = st.one_of(st.floats(width=32), st.sampled_from(EDGE_FLOATS[:5] + [1e16, 1e-5]))
+scalars = st.one_of(
+    floats,
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.booleans(),
+    floats.map(np.float64),
+    floats32.map(np.float32),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8),
+)
+# numpy arrays go through .tolist(); lists and tuples keep their elements
+ARRAY_DTYPES = {
+    "float64": (floats, np.float64),
+    "float32": (floats32, np.float32),
+    "int64": (st.integers(min_value=-(2**63), max_value=2**63 - 1), np.int64),
+    "bool": (st.booleans(), np.bool_),
+}
+
+
+@st.composite
+def column(draw, n_rows):
+    kind = draw(st.sampled_from(["floats", "mixed", "array", "tuple"]))
+    if kind == "array":
+        values, dtype = ARRAY_DTYPES[draw(st.sampled_from(sorted(ARRAY_DTYPES)))]
+        return np.array(draw(st.lists(values, min_size=n_rows, max_size=n_rows)), dtype=dtype)
+    values = floats if kind == "floats" else scalars
+    cells = draw(st.lists(values, min_size=n_rows, max_size=n_rows))
+    return tuple(cells) if kind == "tuple" else cells
+
+
+@st.composite
+def tables(draw):
+    n_rows = draw(st.integers(min_value=0, max_value=12))
+    n_cols = draw(st.integers(min_value=1, max_value=5))
+    columns = [f"c{j}" for j in range(n_cols)]
+    return columns, [draw(column(n_rows)) for _ in range(n_cols)]
+
+
+@PROPERTY
+@given(table=tables(), fmt=st.sampled_from(["csv", "json"]))
+def test_writer_matches_the_per_cell_reference(table, fmt):
+    columns, data = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _OutputTracker(Path(tmp), fmt).table("t", columns, data)
+        assert path.read_text() == _reference(fmt, columns, data)
+
+
+def test_writer_refuses_ragged_tables(tmp_path):
+    tracker = _OutputTracker(tmp_path, "csv")
+    with pytest.raises(ValueError, match="2 columns, 1 given"):
+        tracker.table("t", ("a", "b"), ([1.0],))
+    with pytest.raises(ValueError, match="differ in length"):
+        tracker.table("t", ("a", "b"), ([1.0], [1.0, 2.0]))
+    assert tracker.written == []
