@@ -105,17 +105,6 @@ def _integer_paths() -> tuple:
     return tuple(integer_paths(_load_schema()))
 
 
-@functools.cache
-def _db_paths() -> tuple:
-    """(section, key) of every ``*_db``/``*_dbi`` field of a scenario section."""
-    return tuple(
-        (section, key)
-        for section, node in _load_schema()["properties"].items()
-        for key in node.get("properties", {})
-        if key.endswith(("_db", "_dbi"))
-    )
-
-
 def _linear(path: str, value_db: float) -> float:
     """``db_to_linear``, naming the field whose value overflows a float."""
     try:
@@ -127,7 +116,7 @@ def _linear(path: str, value_db: float) -> float:
 
 
 def _normalise(raw: Dict[str, Any]) -> None:
-    """Make integral floats in integer fields ints; refuse dB values that overflow.
+    """Make integral floats in integer fields ints.
 
     JSON Schema counts 1e6 as an integer, but the program needs an int there.
     """
@@ -138,10 +127,6 @@ def _normalise(raw: Dict[str, Any]) -> None:
         if node.__class__ is dict and node.get(key).__class__ is float:
             if node[key].is_integer():
                 node[key] = int(node[key])
-    for section, key in _db_paths():
-        cfg = raw.get(section)
-        if cfg is not None and key in cfg:
-            _linear(f"{section}.{key}", cfg[key])
 
 
 def fixture_path(name: str) -> Path:

@@ -52,10 +52,6 @@ MAX_NEWTON_STEPS = 64  # the contour scale settles in two to five; bisection aft
 OPTIMALITY_TOLERANCE = 1e-3  # largest relative area cut a perturbation may make
 RIPPLE_AMPLITUDE = 0.05  # relative peak of each optimality-check perturbation
 
-# relative area gap within which the array beta scan re-checks grid points
-# with the scalar solve (the two solves differ by a few ulps)
-NEAR_TIE = 1e-9
-
 
 class TruncationTooSevere(ValueError):
     """The outer radius lies inside the contour or drops over 1% of the analytic mean."""
@@ -324,8 +320,6 @@ def _scale_onto_constraint(
 
     Raises ScaleNotFinite when the root lies outside the float range.
     """
-    if not i_max_w > 0.0:
-        raise ValueError("i_max_w must be positive")
     c_mu, c_sigma2 = _prefactors(field, su, model, fdr)
     return _newton_scale(
         c_mu * m1,
@@ -337,6 +331,8 @@ def _scale_onto_constraint(
 
 def _newton_scale(a_coef: float, b_coef: float, alpha: float, i_max_w: float) -> float:
     """The root t > 0 of a*t^(2-alpha) + b*t^(1-alpha) = I_max; see _scale_onto_constraint."""
+    if not i_max_w > 0.0:
+        raise ValueError("i_max_w must be positive")
     try:
         lo = t = max(
             (a_coef / i_max_w) ** (1.0 / (alpha - 2.0)),
@@ -456,8 +452,7 @@ def solve_main_side(
     """
     if not beta >= 1.0:
         raise ValueError("beta must be >= 1")
-    d_min_at, _ = _main_side_scale(field, su, pattern, model, fdr, i_max_w, lobe_width_rad)
-    d_min = d_min_at(beta)
+    d_min = _main_side_scale(field, su, pattern, model, fdr, i_max_w, lobe_width_rad)(beta)
     return MainSideLobePolicy(
         d_min_m=d_min, d_max_m=beta * d_min, beta=beta, lobe_width_rad=lobe_width_rad
     )
@@ -471,75 +466,33 @@ def _main_side_scale(
     fdr: float,
     i_max_w: float,
     lobe_width_rad: float,
-) -> Tuple[Callable[[float], float], Callable[[np.ndarray], np.ndarray | None]]:
-    """The two-ring d_min as a function of one beta >= 1, and of an array of them.
+) -> Callable[[float], float]:
+    """The two-ring d_min as a function of beta >= 1.
 
-    The model check, the prefactors, Qinv(p) and the gain integrals do not
-    depend on beta, so they are done here once; each call then costs one
-    contour-scale solve.  The array form is ``_newton_scale_array`` (None
-    where a solve needs the scalar path) and may differ from the scalar
-    form in the last bits.
+    The model check, the prefactors, Qinv(p) and the split gain integrals do
+    not depend on beta, so they are done here once; each call then costs one
+    contour-scale solve.
     """
     model = _require_power_law(model)
-    if not i_max_w > 0.0:
-        raise ValueError("i_max_w must be positive")
     alpha = model.alpha
     c_mu, c_sigma2 = _prefactors(field, su, model, fdr)
     q_p = q_inverse(field.outage_max)
-    blind = _blind_moments(pattern)
     main_g, side_g, main_g2, side_g2 = _split_gain_integrals(pattern, lobe_width_rad)
 
     def d_min_at(beta: float) -> float:
         if beta == 1.0:
-            xi1, xi2 = blind
+            xi1, xi2 = _blind_moments(pattern)
         else:
             xi1 = side_g + beta ** (2.0 - alpha) * main_g
             xi2 = side_g2 + beta ** (2.0 - 2.0 * alpha) * main_g2
         return _newton_scale(c_mu * xi1, q_p * math.sqrt(c_sigma2 * xi2), alpha, i_max_w)
 
-    def d_min_on(betas: np.ndarray) -> np.ndarray | None:
-        xi1 = np.where(betas == 1.0, blind[0], side_g + betas ** (2.0 - alpha) * main_g)
-        xi2 = np.where(betas == 1.0, blind[1], side_g2 + betas ** (2.0 - 2.0 * alpha) * main_g2)
-        return _newton_scale_array(c_mu * xi1, q_p * np.sqrt(c_sigma2 * xi2), alpha, i_max_w)
-
-    return d_min_at, d_min_on
-
-
-def _newton_scale_array(
-    a_coef: np.ndarray, b_coef: np.ndarray, alpha: float, i_max_w: float
-) -> np.ndarray | None:
-    """``_newton_scale`` over arrays of coefficients, every element stepped at once.
-
-    Each element stops rising where the scalar solve would return.  Returns
-    None if any element leaves the float range or has not settled within
-    MAX_NEWTON_STEPS: the scalar solve then decides (and raises) for those.
-    """
-    with np.errstate(all="ignore"):
-        t = np.maximum(
-            (a_coef / i_max_w) ** (1.0 / (alpha - 2.0)),
-            (b_coef / i_max_w) ** (1.0 / (alpha - 1.0)),
-        )
-        for _ in range(MAX_NEWTON_STEPS):
-            mean = a_coef * t ** (2.0 - alpha)
-            spread = b_coef * t ** (1.0 - alpha)
-            total = mean + spread
-            step = (
-                np.log(total / i_max_w) * total
-                / ((alpha - 2.0) * mean + (alpha - 1.0) * spread)
-            )
-            t_next = t * np.exp(step)
-            if not (np.all(t > 0.0) and np.all(np.isfinite(t_next))):
-                return None
-            rising = t_next > t
-            if not rising.any():
-                return t
-            t = np.where(rising, t_next, t)
-    return None
+    return d_min_at
 
 
 def _two_ring_area_m2(beta: float, lobe_width_rad: float, d_min_m: float) -> float:
     w = lobe_width_rad
-    return (beta**2 * w / 2.0 + math.pi - w / 2.0) * d_min_m**2  # floats or arrays
+    return (beta**2 * w / 2.0 + math.pi - w / 2.0) * d_min_m**2
 
 
 def optimize_beta(
@@ -570,29 +523,12 @@ def optimize_beta(
         raise ValueError("beta_grid must be strictly increasing")
 
     _check_lobe_width(lobe_width_rad)
-    d_min_at, d_min_on = _main_side_scale(
-        field, su, pattern, model, fdr, i_max_w, lobe_width_rad
-    )
+    d_min_at = _main_side_scale(field, su, pattern, model, fdr, i_max_w, lobe_width_rad)
 
     def area_at(beta: float) -> float:
         return _two_ring_area_m2(beta, lobe_width_rad, d_min_at(beta))
 
-    # the array solve picks the grid points within NEAR_TIE of its least
-    # area; the scalar areas of those decide, so the argmin is the scalar one.
-    # A solve or an area out of the float range leaves all to the scalar
-    # scan, which raises where it always did.
-    grid = np.array(betas)
-    d_grid = d_min_on(grid)
-    with np.errstate(over="ignore"):
-        grid_areas = None if d_grid is None else _two_ring_area_m2(grid, lobe_width_rad, d_grid)
-    if grid_areas is None or not np.all(np.isfinite(grid_areas)):
-        near = range(len(betas))
-    else:
-        near = np.flatnonzero(grid_areas <= grid_areas.min() * (1.0 + NEAR_TIE)).tolist()
-    if len(near) == 1:
-        (i_best,) = near
-    else:
-        i_best = near[int(np.argmin([area_at(betas[i]) for i in near]))]
+    i_best = int(np.argmin([area_at(b) for b in betas]))
     lo = betas[max(i_best - 1, 0)]
     hi = betas[min(i_best + 1, len(betas) - 1)]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0

@@ -1,9 +1,9 @@
 """Property tests: the main-side-lobe beta search gives the scalar scan's result bit for bit.
 
-``optimize_beta`` solves its coarse grid as one array Newton solve and
-re-checks near ties with the scalar solve.  The reference here is the
-plain scan: one ``solve_main_side`` per grid point, the argmin, then the
-same golden section, each area from ``protected_area_m2``.
+``optimize_beta`` does its beta-independent set-up once and then solves
+each beta.  The reference here is the plain scan: one ``solve_main_side``
+per grid point, the argmin, then the same golden section, each area from
+``protected_area_m2``.
 """
 
 import math
@@ -15,11 +15,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-import coexist.protection_multi as protection_multi  # noqa: E402
 from coexist.propagation import AntennaPattern, PowerLawPathLoss  # noqa: E402
 from coexist.protection_multi import (  # noqa: E402
     DeploymentField,
-    _main_side_scale,
     default_lobe_width_rad,
     optimize_beta,
     protected_area_m2,
@@ -104,28 +102,3 @@ def test_beta_scan_is_the_scalar_scan(log10_density, outage_max, alpha, gmax_dbi
     reference = _reference_scan(field, pattern, model, lobe_width, betas)
     assert (beta.hex(), policy.d_min_m.hex()) == tuple(x.hex() for x in reference)
 
-    # the array solve stays within a few ulps of the scalar one, far inside
-    # the gap below which the scan re-checks grid points with the scalar solve
-    d_min_at, d_min_on = _main_side_scale(field, SU, pattern, model, FDR, I_MAX_W, lobe_width)
-    scalar = np.array([d_min_at(b) for b in betas])
-    on_grid = d_min_on(np.array(betas))
-    assert on_grid is not None
-    assert np.max(np.abs(on_grid / scalar - 1.0)) <= 1e-13
-
-
-@pytest.mark.parametrize("path", ["near_ties", "no_array"])
-def test_beta_scan_scalar_paths(monkeypatch, path):
-    # every grid point re-checked by the scalar solve, or the array solve
-    # refused outright: the result must not move either way
-    field = DeploymentField(density_per_m2=1e-6, activity_prob=1.0, outage_max=0.1)
-    pattern = AntennaPattern(gmax_dbi=33.5)
-    model = PowerLawPathLoss(k0=259.0, alpha=3.97)
-    lobe_width = default_lobe_width_rad(pattern)
-    args = (field, SU, pattern, model, FDR, I_MAX_W, lobe_width)
-    beta, policy = optimize_beta(*args)
-    if path == "near_ties":
-        monkeypatch.setattr(protection_multi, "NEAR_TIE", math.inf)
-    else:
-        monkeypatch.setattr(protection_multi, "_newton_scale_array", lambda *a: None)
-    again, again_policy = optimize_beta(*args)
-    assert (again, again_policy) == (beta, policy)
