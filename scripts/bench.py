@@ -5,8 +5,8 @@ Writes ``BENCH_<label>.json`` at the repository root with:
 
 - ``import_s``: wall time of ``import coexist.cli`` in a fresh interpreter
   (min and median over ``--repeat`` processes);
-- ``load_scenario_s``: per bundled fixture, the first load in the process
-  (it reads and compiles the schema) and the min and median of repeated
+- ``load_scenario_s``: per bundled fixture, the first load in the worker
+  (the first fixture's also reads and compiles the schema) and the min and median of repeated
   loads;
 - ``commands_s``: per subcommand and fixture, the in-process time of
   ``coexist.cli.main`` (load, run, write into a temporary directory) and its
@@ -25,14 +25,19 @@ Writes ``BENCH_<label>.json`` at the repository root with:
   from the analytic Campbell moments, in standard errors.  Each workload
   runs in its own fresh interpreter.
 
-The script exits 1 if either kernel workload misses its Campbell moments by
+The script exits 1 if a kernel workload misses its Campbell moments by
 5 standard errors or more; the record is written either way.
 
-It measures whichever ``coexist`` Python imports, so the same script can
-time another checkout:
+Every in-process measurement runs in a spawned worker that imports
+``coexist`` from ``--src`` (this checkout's ``src`` by default).  With
+``--baseline`` a second checkout's ``src`` is timed in the same run, in a
+worker of its own, and ``BENCH_<baseline-label>.json`` is written too.  The
+two trees alternate per measurement and per repeat (the one that goes first
+alternates as well), so drift in the host's speed falls on both alike:
 
-    PYTHONPATH=src python scripts/bench.py --label after
-    PYTHONPATH=/path/to/other/src python scripts/bench.py --label before
+    python scripts/bench.py --label after
+    python scripts/bench.py --label after \
+        --baseline /path/to/other/src --baseline-label before
 """
 
 import argparse
@@ -50,6 +55,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -65,6 +71,7 @@ COMMANDS = (
     "fit-pathloss",
 )
 FIELD_POLICIES = ("optimal", "radar-blind", "main-side-lobe")
+KERNEL_WORKLOADS = ("directional", "dense")
 KERNEL_SAMPLES = 20_000
 KERNEL_SEED = 0
 MAX_Z = 5.0  # Campbell check: standard errors the sample moments may miss by
@@ -78,70 +85,117 @@ def _summary(times):
     return {"min": min(times), "median": statistics.median(times)}
 
 
-def time_import(repeat):
-    times = [
-        float(subprocess.run(
-            [sys.executable, "-c", _IMPORT], capture_output=True, text=True, check=True
-        ).stdout)
-        for _ in range(repeat)
-    ]
-    return _summary(times)
+class Tree(NamedTuple):
+    """A checkout's ``src`` directory and the spawned worker that imports from it."""
+
+    label: str
+    src: str
+    pool: Any
 
 
-def time_loads(repeat):
+def _prepend_path(src):
+    sys.path.insert(0, src)
+
+
+def _coexist_src():
+    import coexist
+
+    return str(Path(coexist.__file__).resolve().parents[1])
+
+
+def _spawn(src):
+    """A one-process spawned pool whose ``coexist`` is the one in ``src``."""
+    pool = multiprocessing.get_context("spawn").Pool(
+        1, initializer=_prepend_path, initargs=(src,)
+    )
+    found = pool.apply(_coexist_src)
+    if found != src:
+        pool.terminate()
+        raise SystemExit(f"the worker imported coexist from {found}, not from {src}")
+    return pool
+
+
+def _in_turn(trees, i):
+    """The trees in the order of turn ``i``: the one that goes first alternates."""
+    return trees if i % 2 == 0 else trees[::-1]
+
+
+def _alternate(trees, repeat, run):
+    """Per tree label, ``repeat`` results of ``run(tree)``, the trees taking turns."""
+    results = {tree.label: [] for tree in trees}
+    for i in range(repeat):
+        for tree in _in_turn(trees, i):
+            results[tree.label].append(run(tree))
+    return results
+
+
+def _import_time(src):
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return float(subprocess.run(
+        [sys.executable, "-c", _IMPORT],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout)
+
+
+def time_import(trees, repeat):
+    times = _alternate(trees, repeat, lambda tree: _import_time(tree.src))
+    return {label: _summary(runs) for label, runs in times.items()}
+
+
+def _load_times(name, repeat):
     from coexist.config import load_scenario
 
-    result = {}
-    for name in FIXTURES:
+    t0 = time.perf_counter()
+    load_scenario(name)
+    first = time.perf_counter() - t0
+    times = []
+    for _ in range(repeat):
         t0 = time.perf_counter()
         load_scenario(name)
-        first = time.perf_counter() - t0
-        times = []
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            load_scenario(name)
-            times.append(time.perf_counter() - t0)
-        result[name] = {"first": first, **_summary(times)}
+        times.append(time.perf_counter() - t0)
+    return {"first": first, **_summary(times)}
+
+
+def time_loads(trees, repeat):
+    # the first load in a worker also reads and compiles the schema
+    result = {tree.label: {} for tree in trees}
+    for i, name in enumerate(FIXTURES):
+        for tree in _in_turn(trees, i):
+            result[tree.label][name] = tree.pool.apply(_load_times, (name, repeat))
     return result
 
 
-def _time_main(argv, repeat, spent=None):
-    """Exit code and time summary of ``coexist.cli.main(argv + --out ...)``.
+def _run_main(argv, clocked):
+    """Exit code and seconds of one ``coexist.cli.main(argv + --out <tmp>)`` run.
 
-    With ``spent``, a list that a clock fills during each run, the time
-    of a run is the sum of that list instead of its wall time.
+    With ``clocked``, the seconds are those spent inside the output writers.
     """
     from coexist.cli import main
 
-    times, codes = [], set()
-    with tempfile.TemporaryDirectory() as tmp:
-        for i in range(repeat):
-            out = Path(tmp) / str(i)
-            if spent is not None:
-                spent.clear()
-            t0 = time.perf_counter()
-            with contextlib.redirect_stderr(io.StringIO()):
-                codes.add(main([*argv, "--out", str(out)]))
-            times.append(time.perf_counter() - t0 if spent is None else sum(spent))
-    (code,) = codes
-    return {"exit": code, **_summary(times)}
+    with contextlib.ExitStack() as stack:
+        out = stack.enter_context(tempfile.TemporaryDirectory())
+        spent = stack.enter_context(_clocked_writers()) if clocked else None
+        stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
+        t0 = time.perf_counter()
+        code = main([*argv, "--out", out])
+        elapsed = time.perf_counter() - t0
+    return code, elapsed if spent is None else sum(spent)
 
 
-def time_commands(repeat):
-    return {
-        f"{command}/{name}": _time_main([command, "--config", name], repeat)
-        for command in COMMANDS
-        for name in FIXTURES
-    }
-
-
-def time_policies(repeat):
-    return {
-        policy: _time_main(
-            ["protect-multi", "--config", "type_b_radar", "--policy", policy], repeat
+def time_runs(trees, argvs, repeat, clocked=False):
+    """Per tree label and key of ``argvs``: exit code and time summary of its runs."""
+    result = {tree.label: {} for tree in trees}
+    for key, argv in argvs.items():
+        runs = _alternate(
+            trees, repeat, lambda tree: tree.pool.apply(_run_main, (argv, clocked))
         )
-        for policy in FIELD_POLICIES
-    }
+        for label, pairs in runs.items():
+            (code,) = {code for code, _ in pairs}
+            result[label][key] = {"exit": code, **_summary([t for _, t in pairs])}
+    return result
 
 
 @contextlib.contextmanager
@@ -170,15 +224,6 @@ def _clocked_writers():
     finally:
         for name, method in originals.items():
             setattr(_OutputTracker, name, method)
-
-
-def time_writes(repeat):
-    with _clocked_writers() as spent:
-        return {
-            f"{command}/{name}": _time_main([command, "--config", name], repeat, spent)
-            for command in COMMANDS
-            for name in FIXTURES
-        }
 
 
 def _kernel_workloads():
@@ -257,16 +302,22 @@ def _time_kernel_workload(name, repeat):
     }
 
 
-def time_kernel(repeat):
-    # each workload in a fresh interpreter: the kernel's arrays are freed and
-    # allocated again per slice, so the dense field's time per point depends
-    # on the allocation sizes the process freed before it (glibc raises its
-    # mmap threshold to the largest freed mmap), e.g. a directional run
-    context = multiprocessing.get_context("spawn")
-    result = {}
-    for name in _kernel_workloads():
-        with context.Pool(1) as pool:
-            result[name] = pool.apply(_time_kernel_workload, (name, repeat))
+def time_kernel(trees, repeat):
+    # each workload in a fresh interpreter per tree: the kernel's arrays are
+    # freed and allocated again per slice, so the dense field's time per
+    # point depends on the allocation sizes the process freed before it
+    # (glibc raises its mmap threshold to the largest freed mmap), e.g. a
+    # directional run
+    result = {tree.label: {} for tree in trees}
+    for i, name in enumerate(KERNEL_WORKLOADS):
+        for tree in _in_turn(trees, i):
+            pool = _spawn(tree.src)
+            try:
+                result[tree.label][name] = pool.apply(
+                    _time_kernel_workload, (name, repeat)
+                )
+            finally:
+                pool.terminate()
     return result
 
 
@@ -274,40 +325,78 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
     parser.add_argument("--repeat", type=int, default=7, help="runs per measurement")
+    parser.add_argument(
+        "--src", default=str(ROOT / "src"), help="src directory to time"
+    )
+    parser.add_argument(
+        "--baseline", help="a second checkout's src directory, timed in the same run"
+    )
+    parser.add_argument(
+        "--baseline-label", help="names BENCH_<baseline-label>.json (with --baseline)"
+    )
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
+    sides = {args.label: args.src}
+    if args.baseline is not None:
+        if args.baseline_label in (None, args.label):
+            parser.error("--baseline needs a --baseline-label other than --label")
+        sides[args.baseline_label] = args.baseline
+    sides = {label: str(Path(src).resolve()) for label, src in sides.items()}
 
-    record = {
-        "label": args.label,
-        "repeat": args.repeat,
-        "unit": "s",
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-        },
-        "import_s": time_import(args.repeat),
-        "load_scenario_s": time_loads(max(args.repeat, 50)),
-        "commands_s": time_commands(args.repeat),
-        "protect_multi_policies_s": time_policies(args.repeat),
-        "write_s": time_writes(args.repeat),
-        "kernel": time_kernel(args.repeat),
+    records = {
+        label: {
+            "label": label,
+            "repeat": args.repeat,
+            "unit": "s",
+            "interleaved_with": [other for other in sides if other != label],
+            "environment": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "machine": platform.machine(),
+                "cpus": os.cpu_count(),
+            },
+        }
+        for label in sides
     }
-    path = ROOT / f"BENCH_{args.label}.json"
-    path.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"wrote {path.name}")
-    misses = [n for n, entry in record["kernel"].items() if not entry["moments_ok"]]
-    for name in misses:
-        entry = record["kernel"][name]
-        print(
-            f"kernel {name}: sample moments miss Campbell's by "
-            f"{entry['z_mean']:.2f} (mean) and {entry['z_variance']:.2f} "
-            f"(variance) standard errors, limit {MAX_Z}",
-            file=sys.stderr,
-        )
-    return 1 if misses else 0
+    trees = []
+    try:
+        for label, src in sides.items():
+            trees.append(Tree(label, src, _spawn(src)))
+        commands = {f"{c}/{n}": [c, "--config", n] for c in COMMANDS for n in FIXTURES}
+        policies = {
+            p: ["protect-multi", "--config", "type_b_radar", "--policy", p]
+            for p in FIELD_POLICIES
+        }
+        measured = {
+            "import_s": time_import(trees, args.repeat),
+            "load_scenario_s": time_loads(trees, max(args.repeat, 50)),
+            "commands_s": time_runs(trees, commands, args.repeat),
+            "protect_multi_policies_s": time_runs(trees, policies, args.repeat),
+            "write_s": time_runs(trees, commands, args.repeat, clocked=True),
+        }
+    finally:
+        for tree in trees:
+            tree.pool.terminate()
+    measured["kernel"] = time_kernel(trees, args.repeat)
+
+    status = 0
+    for label, record in records.items():
+        for key, per_tree in measured.items():
+            record[key] = per_tree[label]
+        path = ROOT / f"BENCH_{label}.json"
+        path.write_text(json.dumps(record, indent=2) + "\n")
+        print(f"wrote {path.name}")
+        for name, entry in record["kernel"].items():
+            if not entry["moments_ok"]:
+                status = 1
+                print(
+                    f"{label} kernel {name}: sample moments miss Campbell's by "
+                    f"{entry['z_mean']:.2f} (mean) and {entry['z_variance']:.2f} "
+                    f"(variance) standard errors, limit {MAX_Z}",
+                    file=sys.stderr,
+                )
+    return status
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 config parse failure, 3 validation failure,
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import sys
@@ -28,6 +27,7 @@ from .config import (
     ParseError,
     Scenario,
     ValidationError,
+    check_analytic_work,
     check_field,
     load_scenario,
     resolve_grid,
@@ -56,6 +56,7 @@ from .protection_single import (
     single_user_gamma,
 )
 from .protection_multi import (
+    DeploymentField,
     OptimalPolicy,
     RadarBlindPolicy,
     SharingPolicy,
@@ -132,11 +133,22 @@ def _format_cell(value: Any) -> str:
     return str(value)
 
 
-def _csv_cells(values: List[Any]) -> Any:
-    """``_format_cell`` over one column; an all-float column skips the per-cell call."""
-    if set(map(type, values)) <= {float}:
-        return map(float.__repr__, values)
-    return map(_format_cell, values)
+def _csv_cells(column: Sequence[Any]) -> Any:
+    """``_format_cell`` over one column, with the same text by cheaper routes.
+
+    A 1-D float64 array is formatted once per distinct bit pattern (contours
+    repeat a few dozen values over 721 rows); bit patterns, not values, keep
+    -0.0 apart from 0.0.  An all-float list skips the per-cell call.
+    """
+    if isinstance(column, np.ndarray):
+        if column.dtype == np.float64 and column.ndim == 1:
+            bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+            text = list(map(float.__repr__, bits.view(np.float64).tolist()))
+            return map(text.__getitem__, inverse.tolist())
+        column = column.tolist()
+    if set(map(type, column)) <= {float}:
+        return map(float.__repr__, column)
+    return map(_format_cell, column)
 
 
 class _OutputTracker:
@@ -153,20 +165,22 @@ class _OutputTracker:
         """Write one table given column by column: ``data[j]`` holds column j."""
         if len(data) != len(columns):
             raise ValueError(f"table {name}: {len(columns)} columns, {len(data)} given")
-        # numpy arrays become Python scalars once per column, not once per cell
-        values = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in data]
-        if len(set(map(len, values))) > 1:
+        if len(set(map(len, data))) > 1:
             raise ValueError(f"table {name}: columns differ in length")
         if self.fmt == "json":
             path = self.out_dir / f"{name}.json"
-            cells = [map(_sanitize, column) for column in values]
+            # numpy arrays become Python scalars once per column, not per cell
+            cells = [
+                map(_sanitize, c.tolist() if isinstance(c, np.ndarray) else c)
+                for c in data
+            ]
             payload = {"columns": list(columns), "rows": list(map(list, zip(*cells)))}
             path.write_text(
                 json.dumps(payload, indent=2, sort_keys=True) + "\n"
             )
         else:
             path = self.out_dir / f"{name}.csv"
-            cells = [_csv_cells(column) for column in values]
+            cells = [_csv_cells(column) for column in data]
             lines = [",".join(columns), *map(",".join, zip(*cells))]
             path.write_text("\n".join(lines) + "\n")
         self.written.append(path)
@@ -231,11 +245,14 @@ def _lobe_width_rad(scenario: Scenario, cfg: Dict[str, Any]) -> float:
 
 
 def _solve_policy(
-    scenario: Scenario, cfg: Dict[str, Any], i_max_w: float, fdr: float
+    scenario: Scenario,
+    field: DeploymentField,
+    cfg: Dict[str, Any],
+    i_max_w: float,
+    fdr: float,
 ) -> tuple[SharingPolicy, Dict[str, Any]]:
-    """Solve the requested multi-SU policy; returns (policy, result scalars)."""
+    """Solve the requested policy for ``field``; returns (policy, result scalars)."""
     kind = cfg["type"]
-    field = scenario.require("field")
     args = (field, scenario.su, scenario.pattern, scenario.pathloss, fdr, i_max_w)
     if kind == "radar-blind":
         policy: SharingPolicy = solve_radar_blind(*args)
@@ -290,7 +307,8 @@ def _gating_policy(
         gamma = single_user_gamma(scenario.su, model, budget, fdr)
         policy = OptimalPolicy(gamma=gamma, alpha=model.alpha)
         return policy, {"gamma_m": gamma}
-    return _solve_policy(scenario, cfg, budget.i_max_w, fdr)
+    field = scenario.require("field")
+    return _solve_policy(scenario, field, cfg, budget.i_max_w, fdr)
 
 
 # --------------------------------------------------------------------------
@@ -406,8 +424,8 @@ def _cmd_protect_multi(
             "policy.type: 'single-user' has no deployment field; "
             "use protect-single or pick a field policy"
         )
-    policy, results = _solve_policy(scenario, cfg, budget.i_max_w, fdr)
     field = scenario.require("field")
+    policy, results = _solve_policy(scenario, field, cfg, budget.i_max_w, fdr)
     profile = policy_profile(policy, scenario.pattern)
     stats = campbell_stats(
         field,
@@ -442,7 +460,8 @@ def _cmd_protect_multi(
         )
         solved = [
             _solve_policy(
-                replace(scenario, field=replace(field, density_per_m2=density)),
+                scenario,
+                replace(field, density_per_m2=density),
                 cfg,
                 budget.i_max_w,
                 fdr,
@@ -476,6 +495,12 @@ def _cmd_throughput(
     if "su_distance_m" not in wifi_cfg:
         raise ValidationError("wifi.su_distance_m: required for throughput runs")
     su_distance = wifi_cfg["su_distance_m"]
+    # refuse an oversized trace or sweep before either runs
+    check_analytic_work("wifi.n_time_steps", n_steps)
+    grid = None
+    if "distance_m" in scenario.sweeps:
+        spec = scenario.sweeps["distance_m"]
+        grid = resolve_grid(spec, "sweeps.distance_m", n_steps)
 
     common = (scenario.radar, scenario.pattern, scenario.pathloss, policy)
     trace = throughput_trace(
@@ -515,8 +540,7 @@ def _cmd_throughput(
     }
     results.update(policy_results)
 
-    if "distance_m" in scenario.sweeps:
-        grid = resolve_grid(scenario.sweeps["distance_m"], "sweeps.distance_m")
+    if grid is not None:
         tracker.table(
             "throughput_sweep",
             (
@@ -681,14 +705,18 @@ def run_command(
     out_path.mkdir(parents=True, exist_ok=True)
     fmt = fmt if fmt is not None else scenario.output_format
 
-    config_echo = copy.deepcopy(scenario.raw)
-    if seed is not None:
-        config_echo.setdefault("mc", {})["seed"] = seed
-    if samples is not None:
-        config_echo.setdefault("mc", {})["samples"] = samples
-    if policy is not None:
-        config_echo.setdefault("policy", {})["type"] = policy
-    config_echo.setdefault("output", {})["format"] = fmt
+    # the echo shares the sections no override writes with scenario.raw;
+    # a section an override writes is copied, so scenario.raw stays as loaded
+    config_echo = dict(scenario.raw)
+    overrides = (
+        ("mc", "seed", seed),
+        ("mc", "samples", samples),
+        ("policy", "type", policy),
+        ("output", "format", fmt),
+    )
+    for section, key, value in overrides:
+        if value is not None:
+            config_echo[section] = {**config_echo.get(section, {}), key: value}
 
     resolved_seed = seed if seed is not None else scenario.mc.get("seed", 0)
     opts = SimpleNamespace(seed=seed, samples=samples, policy=policy)

@@ -6,6 +6,7 @@ the artifacts on disk.  Frozen numbers are the same oracles used by the
 library-level tests; the CLI must reproduce them exactly.
 """
 
+import copy
 import filecmp
 import json
 import os
@@ -19,8 +20,8 @@ from numpy.testing import assert_allclose
 
 import coexist
 from coexist import _mc_kernels
-from coexist.cli import main
-from coexist.config import fixture_path
+from coexist.cli import main, run_command
+from coexist.config import ValidationError, fixture_path, load_scenario, resolve_grid
 
 
 def _variant(tmp_path, base, mutate, name="scenario.json"):
@@ -446,6 +447,69 @@ def test_work_check_needs_no_allocation():
         _mc_kernels.check_work(2.0 * _mc_kernels.MAX_DRAWN_POINTS, 1, 1)
     assert caught.value.per_sample
     _mc_kernels.check_work(1.8e3, 10**6, 10**6)
+
+
+def _refuse_to_trace(*args, **kwargs):
+    raise AssertionError("the trace started before the work check")
+
+
+@pytest.mark.parametrize(
+    "command, base, sweeps, cap, field",
+    [
+        # 512 steps fit, but 61 sweep distances x 512 steps do not
+        ("throughput", "wifi_sharing", {}, 61 * 512 - 1, "sweeps.distance_m.count"),
+        ("throughput", "wifi_sharing", {}, 100, "wifi.n_time_steps"),
+        ("imax", "type_b_radar", {"pd_drop": {"values": [0.01, 0.02, 0.05, 0.1]}},
+         3, "sweeps.pd_drop.values"),
+        ("protect-single", "type_b_radar",
+         {"theta_deg": {"start": -90.0, "stop": 90.0, "count": 4}},
+         3, "sweeps.theta_deg.count"),
+    ],
+)
+def test_analytic_work_over_the_cap_exits_3(
+    tmp_path, capsys, monkeypatch, command, base, sweeps, cap, field
+):
+    monkeypatch.setattr("coexist.config.MAX_ANALYTIC_WORK", cap)
+    monkeypatch.setattr("coexist.cli.throughput_trace", _refuse_to_trace)
+    config = _variant(tmp_path, base, lambda cfg: cfg["sweeps"].update(sweeps))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 3
+    assert f"error: {field}:" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_analytic_cap_admits_work_at_the_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr("coexist.config.MAX_ANALYTIC_WORK", 61 * 512)
+    assert main(["throughput", "--config", "wifi_sharing", "--out", str(tmp_path)]) == 0
+
+
+def test_analytic_work_check_needs_no_allocation():
+    # a billion-point grid is refused by arithmetic alone
+    with pytest.raises(ValidationError, match=r"^x\.count: 1000000000 eval"):
+        resolve_grid({"start": 0.0, "stop": 1.0, "count": 10**9}, "x")
+    with pytest.raises(ValidationError, match=r"\(2000 points x 512 time steps\)"):
+        resolve_grid({"start": 0.0, "stop": 1.0, "count": 2000}, "x", 512)
+
+
+def test_overrides_leave_the_scenario_as_loaded(tmp_path):
+    def strip(cfg):
+        del cfg["policy"], cfg["output"]
+
+    scenario = load_scenario(_variant(tmp_path, "type_b_radar", strip))
+    before = copy.deepcopy(scenario.raw)
+    payload = run_command(
+        scenario, "validate-mc", tmp_path / "o",
+        fmt="json", seed=7, samples=200, policy="radar-blind",
+    )
+    assert scenario.raw == before
+    echo = payload["config"]
+    assert echo["mc"] == {**before["mc"], "seed": 7, "samples": 200}
+    assert echo["policy"] == {"type": "radar-blind"}
+    assert echo["output"] == {"format": "json"}
+    assert {k: v for k, v in echo.items() if k not in ("mc", "policy", "output")} == {
+        k: v for k, v in before.items() if k != "mc"
+    }
+    assert _summary(tmp_path / "o")["config"] == echo
 
 
 @pytest.mark.parametrize(

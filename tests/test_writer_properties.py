@@ -96,6 +96,72 @@ def test_writer_matches_the_per_cell_reference(table, fmt):
         assert path.read_text() == _reference(fmt, columns, data)
 
 
+def _bits(value):
+    return int(np.array(value, dtype=np.float64).view(np.int64))
+
+
+# a small pool, so values repeat within a column, as they do in the contour
+# tables: signed zeros, NaNs with the sign bit set and with payloads (quiet
+# and signalling), infinities and the smallest subnormal, as int64 bit patterns
+POOL_BITS = [_bits(v) for v in (0.0, -0.0, 1.5, -1.5, 0.1, 5e-324, np.inf, -np.inf)]
+POOL_BITS += [
+    _bits(np.nan),
+    np.array(0xFFF8000000000000, dtype=np.uint64).view(np.int64).item(),
+    0x7FF8000000000123,
+    0x7FF0000000000001,
+]
+
+
+def _floats_from_bits(bits):
+    return np.array(bits, dtype=np.int64).view(np.float64)
+
+
+@st.composite
+def pooled_tables(draw):
+    """Float64 array columns with repeated values, strided (not contiguous) or not."""
+    n_rows = draw(st.integers(min_value=0, max_value=12))
+    data = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        step = draw(st.sampled_from([1, 2, 3]))
+        bits = draw(st.lists(st.sampled_from(POOL_BITS), min_size=n_rows * step,
+                             max_size=n_rows * step))
+        data.append(_floats_from_bits(bits)[::step])
+    return [f"c{j}" for j in range(len(data))], data
+
+
+@PROPERTY
+@given(table=pooled_tables(), fmt=st.sampled_from(["csv", "json"]))
+def test_repeated_floats_match_the_per_cell_reference(table, fmt):
+    columns, data = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _OutputTracker(Path(tmp), fmt).table("t", columns, data)
+        assert path.read_text() == _reference(fmt, columns, data)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "column",
+    [
+        np.array([], dtype=np.float64),
+        np.array([-0.0]),
+        _floats_from_bits(POOL_BITS[-3:-2]),
+        np.array([0.0, -0.0, 0.0, -0.0])[::2],
+        np.array([0.0, -0.0, 0.0, -0.0])[1::2],
+        np.array([[0.0, -0.0], [-0.0, 0.0]])[:, 1],
+    ],
+    ids=["zero-rows", "one-row", "one-nan", "strided", "strided-odd", "2d-column"],
+)
+def test_short_and_strided_float_columns(tmp_path, fmt, column):
+    path = _OutputTracker(tmp_path, fmt).table("t", ("a",), (column,))
+    assert path.read_text() == _reference(fmt, ("a",), (column,))
+
+
+def test_signed_zeros_stay_apart(tmp_path):
+    column = np.array([0.0, -0.0, 0.0, -0.0])
+    path = _OutputTracker(tmp_path, "csv").table("t", ("a",), (column,))
+    assert path.read_text() == "a\n0.0\n-0.0\n0.0\n-0.0\n"
+
+
 def test_writer_refuses_ragged_tables(tmp_path):
     tracker = _OutputTracker(tmp_path, "csv")
     with pytest.raises(ValueError, match="2 columns, 1 given"):
