@@ -75,6 +75,7 @@ from .protection_multi import (
     ScaleNotFinite,
     SharingPolicy,
     TruncationTooSevere,
+    WorkTooLarge,
     campbell_stats,
     default_lobe_width_rad,
     optimize_beta,

@@ -32,7 +32,6 @@ from .config import (
     load_scenario,
     resolve_grid,
 )
-from . import _mc_kernels
 from .numerics import (
     db_to_linear,
     fit_power_law,
@@ -61,9 +60,11 @@ from .protection_multi import (
     RadarBlindPolicy,
     SharingPolicy,
     TruncationTooSevere,
+    WorkTooLarge,
+    beta_scan_solves,
     campbell_stats,
     default_lobe_width_rad,
-    gain_grid,
+    optimal_contour,
     optimize_beta,
     outage_probability,
     policy_profile,
@@ -82,7 +83,6 @@ from .radar_detection import (
     snr_required_albersheim,
 )
 from .wifi_link import (
-    DEFAULT_80211N,
     WifiLink,
     average_throughput,
     duty_factor,
@@ -259,8 +259,7 @@ def _solve_policy(
         results = {"d_min_m": policy.d_min_m}
     elif kind == "optimal":
         policy = solve_optimal_profile(*args)
-        _, gains = gain_grid(scenario.pattern)
-        contour = policy.gamma * gains ** (1.0 / policy.alpha)
+        contour = optimal_contour(policy, scenario.pattern)
         results = {
             "gamma_m": policy.gamma,
             "d_min_m": float(np.min(contour)),
@@ -270,16 +269,12 @@ def _solve_policy(
         lobe_width = _lobe_width_rad(scenario, cfg)
         if "beta" in cfg:
             policy = solve_main_side(*args, beta=cfg["beta"], lobe_width_rad=lobe_width)
-            beta = cfg["beta"]
         else:
-            grid = None
-            if "beta_grid" in cfg:
-                grid = resolve_grid(cfg["beta_grid"], "policy.beta_grid")
-            beta, policy = optimize_beta(
-                *args, lobe_width_rad=lobe_width, beta_grid=grid
+            _, policy = optimize_beta(
+                *args, lobe_width_rad=lobe_width, beta_grid=_beta_grid(cfg)
             )
         results = {
-            "beta": beta,
+            "beta": policy.beta,
             "lobe_width_deg": math.degrees(lobe_width),
             "d_min_m": policy.d_min_m,
             "d_max_m": policy.d_max_m,
@@ -292,6 +287,12 @@ def _solve_policy(
     results["area_m2"] = area
     results["area_km2"] = area / 1e6
     return policy, results
+
+
+def _beta_grid(cfg: Dict[str, Any]) -> list[float] | None:
+    if "beta_grid" in cfg:
+        return resolve_grid(cfg["beta_grid"], "policy.beta_grid")
+    return None
 
 
 def _gating_policy(
@@ -425,6 +426,15 @@ def _cmd_protect_multi(
             "use protect-single or pick a field policy"
         )
     field = scenario.require("field")
+    grid = None
+    if "density_per_m2" in scenario.sweeps:
+        # a density point costs its policy's contour-scale solves; check before any runs
+        solves = 1
+        if cfg["type"] == "main-side-lobe" and "beta" not in cfg:
+            solves = beta_scan_solves(_beta_grid(cfg))
+        grid = resolve_grid(
+            scenario.sweeps["density_per_m2"], "sweeps.density_per_m2", solves, "solves"
+        )
     policy, results = _solve_policy(scenario, field, cfg, budget.i_max_w, fdr)
     profile = policy_profile(policy, scenario.pattern)
     stats = campbell_stats(
@@ -454,10 +464,7 @@ def _cmd_protect_multi(
         (contour_theta, profile(np.radians(contour_theta))),
     )
 
-    if "density_per_m2" in scenario.sweeps:
-        grid = resolve_grid(
-            scenario.sweeps["density_per_m2"], "sweeps.density_per_m2"
-        )
+    if grid is not None:
         solved = [
             _solve_policy(
                 scenario,
@@ -503,9 +510,7 @@ def _cmd_throughput(
         grid = resolve_grid(spec, "sweeps.distance_m", n_steps)
 
     common = (scenario.radar, scenario.pattern, scenario.pathloss, policy)
-    trace = throughput_trace(
-        link, *common, su_distance, DEFAULT_80211N, mode, n_steps
-    )
+    trace = throughput_trace(link, *common, su_distance, mode, n_steps)
     tracker.table(
         "throughput_trace",
         ("time_s", "azimuth_deg", "sinr_db", "rate_mbps"),
@@ -521,9 +526,7 @@ def _cmd_throughput(
         )
 
     def avg_rate(distance_m: float, rate_mode: str) -> float:
-        return average_throughput(
-            link, *common, distance_m, DEFAULT_80211N, rate_mode, n_steps
-        )
+        return average_throughput(link, *common, distance_m, rate_mode, n_steps)
 
     results: Dict[str, Any] = {
         "policy": cfg["type"],
@@ -602,7 +605,7 @@ def _cmd_validate_mc(
         )
     except TruncationTooSevere as exc:
         raise ValidationError(f"mc.outer_radius_m: {exc}") from None
-    except _mc_kernels.WorkTooLarge as exc:
+    except WorkTooLarge as exc:
         key = "field.density_per_m2" if exc.per_sample else "mc.samples"
         raise ValidationError(f"{key}: {exc}") from None
     mean_emp = float(np.mean(samples))
@@ -626,7 +629,7 @@ def _cmd_validate_mc(
         (quantiles, i_max, quantiles, empirical, half_width, within),
     )
     return {
-        "backend": _mc_kernels.resolve_backend(),
+        "backend": "numpy",
         "n_samples": n_samples,
         "outer_radius_m": outer_radius,
         "mean_analytic_w": stats.mean_w,

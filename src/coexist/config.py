@@ -39,9 +39,9 @@ from .protection_multi import DeploymentField
 from .radar_detection import SPEED_OF_LIGHT_M_S, RadarSystem, RocPoint
 
 
-# analytic work cap of one run: grid points times the WiFi trace steps each
-# point costs (the MC kernel's own caps are in _mc_kernels); a million is a
-# 32 MB list of floats, or seconds of throughput trace steps
+# analytic work cap of one run: grid points times the WiFi trace steps or
+# contour-scale solves each point costs (the MC kernel's own caps are in
+# _mc_kernels); a million is a 32 MB list of floats, or seconds of either
 MAX_ANALYTIC_WORK = 10**6
 
 
@@ -289,30 +289,32 @@ def check_field(path: str, value: Any) -> None:
         raise ValidationError(f"{path}: {err[1]}")
 
 
-def check_analytic_work(path: str, points: int, steps: int = 1) -> None:
-    """Refuse ``points`` x ``steps`` above ``MAX_ANALYTIC_WORK``, naming ``path``."""
+def check_analytic_work(path: str, points: int, steps: int = 1, unit: str = "time steps") -> None:
+    """Refuse ``points`` x ``steps`` (``unit``) above ``MAX_ANALYTIC_WORK``, naming ``path``."""
     if points * steps > MAX_ANALYTIC_WORK:
-        split = f" ({points} points x {steps} time steps)" if steps != 1 else ""
+        split = f" ({points} points x {steps} {unit})" if steps != 1 else ""
         raise ValidationError(
             f"{path}: {points * steps} evaluations{split} exceed the analytic "
             f"work cap of {MAX_ANALYTIC_WORK}"
         )
 
 
-def resolve_grid(spec: Dict[str, Any], name: str, steps: int = 1) -> list[float]:
+def resolve_grid(
+    spec: Dict[str, Any], name: str, steps: int = 1, unit: str = "time steps"
+) -> list[float]:
     """Materialise the grid spec at dotted path ``name`` into sorted floats.
 
-    ``steps`` is the time steps each point costs; the grid is checked
+    ``steps`` is the work each point costs, in ``unit``; the grid is checked
     against the analytic work cap before it is built.
     """
     if "values" in spec:
-        check_analytic_work(f"{name}.values", len(spec["values"]), steps)
+        check_analytic_work(f"{name}.values", len(spec["values"]), steps, unit)
         values = [float(v) for v in spec["values"]]
         if any(values[i] >= values[i + 1] for i in range(len(values) - 1)):
             raise ValidationError(f"{name}.values must be strictly increasing")
         return values
     start, stop, count = spec["start"], spec["stop"], spec["count"]
-    check_analytic_work(f"{name}.count", count, steps)
+    check_analytic_work(f"{name}.count", count, steps, unit)
     if not start < stop:
         raise ValidationError(f"{name}: start must be below stop")
     if spec.get("spacing", "linear") == "log":

@@ -4,7 +4,7 @@ Small, dependency-light building blocks used across the analysis modules.
 The Gaussian tail pair comes from the standard library (``math.erfc``,
 ``statistics.NormalDist``).  ``solve_root`` is plain bisection, deterministic
 to the last bit.  The contour scale of the field policies is a Newton solve
-(``protection_multi._scale_onto_constraint``) that falls back on it only if
+(``protection_multi._constraint``) that falls back on it only if
 its steps do not settle; the tests use it as an independent reference.
 """
 

@@ -45,9 +45,14 @@ from .propagation import (
 from .protection_single import SecondaryUser
 from . import _mc_kernels
 
+WorkTooLarge = _mc_kernels.WorkTooLarge  # sample_aggregate raises it
+
 PROFILE_TABLE_SIZE = 16384
 
 MAX_NEWTON_STEPS = 64  # the contour scale settles in two to five; bisection after
+
+DEFAULT_BETA_GRID_POINTS = 61  # optimize_beta's default grid, 1..16
+GOLDEN_SECTION_STEPS = 80  # most refinement steps optimize_beta takes after its grid
 
 OPTIMALITY_TOLERANCE = 1e-3  # largest relative area cut a perturbation may make
 RIPPLE_AMPLITUDE = 0.05  # relative peak of each optimality-check perturbation
@@ -89,12 +94,10 @@ class DeploymentField:
 
 @dataclass(frozen=True)
 class CampbellStats:
-    """First two moments of the aggregate interference, plus the prefactors."""
+    """First two moments of the aggregate interference."""
 
     mean_w: float
     variance_w2: float
-    c_mu: float
-    c_sigma2: float
 
     @property
     def std_w(self) -> float:
@@ -131,7 +134,6 @@ class MainSideLobePolicy:
     """Two-ring contour: d_max across the main lobe, d_min elsewhere."""
 
     d_min_m: float
-    d_max_m: float
     beta: float
     lobe_width_rad: float
 
@@ -141,8 +143,11 @@ class MainSideLobePolicy:
         if not self.beta >= 1.0:
             raise ValueError("beta = d_max/d_min must be >= 1")
         _check_lobe_width(self.lobe_width_rad)
-        if not math.isclose(self.d_max_m, self.beta * self.d_min_m, rel_tol=1e-9):
-            raise ValueError("d_max_m must equal beta * d_min_m")
+
+    @property
+    def d_max_m(self) -> float:
+        """Keep-out distance across the main lobe, beta * d_min_m."""
+        return self.beta * self.d_min_m
 
 
 SharingPolicy = Union[OptimalPolicy, RadarBlindPolicy, MainSideLobePolicy]
@@ -207,6 +212,11 @@ def policy_profile(
 
         return profile
     raise TypeError(f"unknown policy type {type(policy)!r}")
+
+
+def optimal_contour(policy: OptimalPolicy, pattern: Pattern) -> np.ndarray:
+    """The policy's contour on ``gain_grid``'s azimuths, from its cached gains."""
+    return policy.gamma * gain_grid(pattern)[1] ** (1.0 / policy.alpha)
 
 
 def _profile_on_grid(
@@ -288,9 +298,7 @@ def campbell_stats(
     d = _profile_on_grid(profile, theta)
     m1, m2 = _campbell_moments(gains, d, model.alpha, outer_radius_m)
     c_mu, c_sigma2 = _prefactors(field, su, model, fdr)
-    return CampbellStats(
-        mean_w=c_mu * m1, variance_w2=c_sigma2 * m2, c_mu=c_mu, c_sigma2=c_sigma2
-    )
+    return CampbellStats(mean_w=c_mu * m1, variance_w2=c_sigma2 * m2)
 
 
 def outage_probability(stats: CampbellStats, i_max_w: float) -> float:
@@ -300,11 +308,11 @@ def outage_probability(stats: CampbellStats, i_max_w: float) -> float:
     return 0.0 if stats.mean_w < i_max_w else 1.0
 
 
-def _scale_onto_constraint(
+def _constraint(
     field: DeploymentField, su: SecondaryUser, model: PowerLawPathLoss, fdr: float,
-    i_max_w: float, m1: float, m2: float,
-) -> float:
-    """Scale t pinning a contour with Campbell moments (m1, m2) onto the outage cap.
+    i_max_w: float,
+) -> Callable[[float, float], float]:
+    """t(m1, m2): the scale pinning a contour with Campbell moments (m1, m2) onto the cap.
 
     Solves a*t^(2-alpha) + b*t^(1-alpha) = I_max, a = C_mu*m1 and
     b = Qinv(p)*sqrt(C_s2*m2), by Newton's method in y = ln t.  Since
@@ -318,56 +326,53 @@ def _scale_onto_constraint(
     MAX_NEWTON_STEPS, bisection finishes the solve between the last checked
     iterate and the t at which each term is at most I_max/2.
 
-    Raises ScaleNotFinite when the root lies outside the float range.
+    t(m1, m2) raises ScaleNotFinite when the root lies outside the float range.
     """
-    c_mu, c_sigma2 = _prefactors(field, su, model, fdr)
-    return _newton_scale(
-        c_mu * m1,
-        q_inverse(field.outage_max) * math.sqrt(c_sigma2 * m2),
-        model.alpha,
-        i_max_w,
-    )
-
-
-def _newton_scale(a_coef: float, b_coef: float, alpha: float, i_max_w: float) -> float:
-    """The root t > 0 of a*t^(2-alpha) + b*t^(1-alpha) = I_max; see _scale_onto_constraint."""
     if not i_max_w > 0.0:
         raise ValueError("i_max_w must be positive")
-    try:
-        lo = t = max(
-            (a_coef / i_max_w) ** (1.0 / (alpha - 2.0)),
-            (b_coef / i_max_w) ** (1.0 / (alpha - 1.0)),
+    c_mu, c_sigma2 = _prefactors(field, su, model, fdr)
+    q_p = q_inverse(field.outage_max)
+    alpha = model.alpha
+
+    def scale(m1: float, m2: float) -> float:
+        a_coef, b_coef = c_mu * m1, q_p * math.sqrt(c_sigma2 * m2)
+        try:
+            lo = t = max(
+                (a_coef / i_max_w) ** (1.0 / (alpha - 2.0)),
+                (b_coef / i_max_w) ** (1.0 / (alpha - 1.0)),
+            )
+            for _ in range(MAX_NEWTON_STEPS):
+                if not 0.0 < t < math.inf:
+                    break
+                mean = a_coef * t ** (2.0 - alpha)
+                spread = b_coef * t ** (1.0 - alpha)
+                total = mean + spread
+                step = (
+                    math.log(total / i_max_w) * total
+                    / ((alpha - 2.0) * mean + (alpha - 1.0) * spread)
+                )
+                t_next = t * math.exp(step)
+                if not t_next > t:
+                    return t
+                lo, t = t, t_next
+            else:
+                hi = max(
+                    (2.0 * a_coef / i_max_w) ** (1.0 / (alpha - 2.0)),
+                    (2.0 * b_coef / i_max_w) ** (1.0 / (alpha - 1.0)),
+                )
+                return solve_root(
+                    lambda x: a_coef * x ** (2.0 - alpha) + b_coef * x ** (1.0 - alpha) - i_max_w,
+                    RootBracket(lo=lo, hi=hi, tol_rel=1e-13, max_iter=400),
+                )
+        except OverflowError:
+            pass
+        raise ScaleNotFinite(
+            f"contour scale is not finite: a*t^(2-alpha) + b*t^(1-alpha) = I_max "
+            f"with a={a_coef:.6g}, b={b_coef:.6g}, I_max={i_max_w:.6g} W and "
+            f"alpha={alpha:.6g} has no positive root in the float range"
         )
-        for _ in range(MAX_NEWTON_STEPS):
-            if not 0.0 < t < math.inf:
-                break
-            mean = a_coef * t ** (2.0 - alpha)
-            spread = b_coef * t ** (1.0 - alpha)
-            total = mean + spread
-            step = (
-                math.log(total / i_max_w) * total
-                / ((alpha - 2.0) * mean + (alpha - 1.0) * spread)
-            )
-            t_next = t * math.exp(step)
-            if not t_next > t:
-                return t
-            lo, t = t, t_next
-        else:
-            hi = max(
-                (2.0 * a_coef / i_max_w) ** (1.0 / (alpha - 2.0)),
-                (2.0 * b_coef / i_max_w) ** (1.0 / (alpha - 1.0)),
-            )
-            return solve_root(
-                lambda x: a_coef * x ** (2.0 - alpha) + b_coef * x ** (1.0 - alpha) - i_max_w,
-                RootBracket(lo=lo, hi=hi, tol_rel=1e-13, max_iter=400),
-            )
-    except OverflowError:
-        pass
-    raise ScaleNotFinite(
-        f"contour scale is not finite: a*t^(2-alpha) + b*t^(1-alpha) = I_max "
-        f"with a={a_coef:.6g}, b={b_coef:.6g}, I_max={i_max_w:.6g} W and "
-        f"alpha={alpha:.6g} has no positive root in the float range"
-    )
+
+    return scale
 
 
 def solve_optimal_profile(
@@ -388,9 +393,7 @@ def solve_optimal_profile(
     model = _require_power_law(model)
     _, gains = gain_grid(pattern)
     j_integral = periodic_rule(gains ** (2.0 / model.alpha))
-    gamma = _scale_onto_constraint(
-        field, su, model, fdr, i_max_w, j_integral, j_integral
-    )
+    gamma = _constraint(field, su, model, fdr, i_max_w)(j_integral, j_integral)
     return OptimalPolicy(gamma=gamma, alpha=model.alpha)
 
 
@@ -404,9 +407,7 @@ def solve_radar_blind(
 ) -> RadarBlindPolicy:
     """Constant keep-out distance meeting the outage constraint with equality."""
     model = _require_power_law(model)
-    d_min = _scale_onto_constraint(
-        field, su, model, fdr, i_max_w, *_blind_moments(pattern)
-    )
+    d_min = _constraint(field, su, model, fdr, i_max_w)(*_blind_moments(pattern))
     return RadarBlindPolicy(d_min_m=d_min)
 
 
@@ -453,9 +454,7 @@ def solve_main_side(
     if not beta >= 1.0:
         raise ValueError("beta must be >= 1")
     d_min = _main_side_scale(field, su, pattern, model, fdr, i_max_w, lobe_width_rad)(beta)
-    return MainSideLobePolicy(
-        d_min_m=d_min, d_max_m=beta * d_min, beta=beta, lobe_width_rad=lobe_width_rad
-    )
+    return MainSideLobePolicy(d_min_m=d_min, beta=beta, lobe_width_rad=lobe_width_rad)
 
 
 def _main_side_scale(
@@ -469,14 +468,13 @@ def _main_side_scale(
 ) -> Callable[[float], float]:
     """The two-ring d_min as a function of beta >= 1.
 
-    The model check, the prefactors, Qinv(p) and the split gain integrals do
-    not depend on beta, so they are done here once; each call then costs one
-    contour-scale solve.
+    The model check, the design equation's set-up and the split gain
+    integrals do not depend on beta, so they are done here once; each call
+    then costs one contour-scale solve.
     """
     model = _require_power_law(model)
     alpha = model.alpha
-    c_mu, c_sigma2 = _prefactors(field, su, model, fdr)
-    q_p = q_inverse(field.outage_max)
+    scale = _constraint(field, su, model, fdr, i_max_w)
     main_g, side_g, main_g2, side_g2 = _split_gain_integrals(pattern, lobe_width_rad)
 
     def d_min_at(beta: float) -> float:
@@ -485,7 +483,7 @@ def _main_side_scale(
         else:
             xi1 = side_g + beta ** (2.0 - alpha) * main_g
             xi2 = side_g2 + beta ** (2.0 - 2.0 * alpha) * main_g2
-        return _newton_scale(c_mu * xi1, q_p * math.sqrt(c_sigma2 * xi2), alpha, i_max_w)
+        return scale(xi1, xi2)
 
     return d_min_at
 
@@ -513,7 +511,7 @@ def optimize_beta(
     beta bloats the main ring).
     """
     if beta_grid is None:
-        beta_grid = np.linspace(1.0, 16.0, 61)
+        beta_grid = np.linspace(1.0, 16.0, DEFAULT_BETA_GRID_POINTS)
     betas = [float(b) for b in beta_grid]
     if len(betas) < 3:
         raise ValueError("beta_grid needs at least 3 points")
@@ -535,7 +533,7 @@ def optimize_beta(
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
     f1, f2 = area_at(x1), area_at(x2)
-    for _ in range(80):
+    for _ in range(GOLDEN_SECTION_STEPS):
         if hi - lo <= 1e-7 * max(1.0, hi):
             break
         if f1 < f2:
@@ -547,12 +545,16 @@ def optimize_beta(
             x2 = lo + invphi * (hi - lo)
             f2 = area_at(x2)
     beta_opt = 0.5 * (lo + hi)
-    if beta_opt < 1.0:
-        beta_opt = 1.0
-    policy = solve_main_side(
-        field, su, pattern, model, fdr, i_max_w, beta_opt, lobe_width_rad
+    policy = MainSideLobePolicy(
+        d_min_m=d_min_at(beta_opt), beta=beta_opt, lobe_width_rad=lobe_width_rad
     )
     return beta_opt, policy
+
+
+def beta_scan_solves(beta_grid: Sequence[float] | None = None) -> int:
+    """Most contour-scale solves of ``optimize_beta``: grid, golden section, chosen beta."""
+    n_grid = DEFAULT_BETA_GRID_POINTS if beta_grid is None else len(beta_grid)
+    return n_grid + 2 + GOLDEN_SECTION_STEPS + 1
 
 
 def profile_area_m2(profile: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -594,7 +596,7 @@ def rescale_to_constraint(
     model = _require_power_law(model)
     theta, gains = gain_grid(pattern)
     m1, m2 = _campbell_moments(gains, _profile_on_grid(profile, theta), model.alpha)
-    return _scale_onto_constraint(field, su, model, fdr, i_max_w, m1, m2)
+    return _constraint(field, su, model, fdr, i_max_w)(m1, m2)
 
 
 @dataclass(frozen=True)
@@ -632,6 +634,7 @@ def verify_local_optimality(
     # replaced by the correct shape
     d0 = _profile_on_grid(policy_profile(policy, pattern), theta)
     area0 = periodic_rule(d0**2) / 2.0
+    scale = _constraint(field, su, model, fdr, i_max_w)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for trial in range(n_perturbations):
@@ -643,8 +646,7 @@ def verify_local_optimality(
         if peak == 0.0:
             continue
         d_eps = d0 * (1.0 + RIPPLE_AMPLITUDE * ripple / peak)
-        m1, m2 = _campbell_moments(gains, d_eps, model.alpha)
-        t = _scale_onto_constraint(field, su, model, fdr, i_max_w, m1, m2)
+        t = scale(*_campbell_moments(gains, d_eps, model.alpha))
         area_eps = t**2 * periodic_rule(d_eps**2) / 2.0
         reduction = 1.0 - area_eps / area0
         if reduction > worst:
@@ -685,7 +687,7 @@ def sample_aggregate(
     draw; the other bins as a second, independent field whose points draw
     a bin and read its tables.
 
-    Raises ``WorkTooLarge`` (from the kernel) before sampling when the
+    Raises ``WorkTooLarge`` before sampling when the
     expected drawn points or the bytes of the sums exceed the kernel's
     caps.
 

@@ -25,7 +25,7 @@ from .protection_multi import (
     OptimalPolicy,
     RadarBlindPolicy,
     SharingPolicy,
-    gain_grid,
+    optimal_contour,
     policy_profile,
 )
 from .radar_detection import BOLTZMANN_J_PER_K, RadarSystem
@@ -50,9 +50,6 @@ class McsTable:
     def __post_init__(self) -> None:
         if len(self.entries) < 1:
             raise ValueError("MCS table must have at least one entry")
-        object.__setattr__(
-            self, "entries", tuple(McsEntry(*e) for e in self.entries)
-        )
         for prev, cur in zip(self.entries, self.entries[1:]):
             if not cur.min_snr_db > prev.min_snr_db:
                 raise ValueError("min_snr_db must be strictly increasing")
@@ -148,18 +145,18 @@ def _radar_power_w(
     return power
 
 
-def wifi_sinr(link: WifiLink, radar_interference_w: float) -> float:
-    """Linear SINR of the WiFi link under the given radar interference power."""
-    if radar_interference_w < 0.0:
+def wifi_sinr(link: WifiLink, radar_interference_w: float | np.ndarray) -> float | np.ndarray:
+    """Linear SINR of the WiFi link under the given radar interference power(s)."""
+    if np.any(np.asarray(radar_interference_w) < 0.0):
         raise ValueError("radar_interference_w must be non-negative")
     signal = link.su.eirp_w / db_to_linear(link.link_loss_db)
     return signal / (wifi_noise_w(link) + radar_interference_w)
 
 
-def mcs_rate(table: McsTable, sinr_db: float) -> float:
-    """Data rate of the best MCS the SINR supports; 0 below the lowest step."""
+def mcs_rate(sinr_db: float) -> float:
+    """Data rate of the best ``DEFAULT_80211N`` MCS the SINR supports; 0 below the lowest step."""
     rate = 0.0
-    for entry in table.entries:
+    for entry in DEFAULT_80211N.entries:
         if sinr_db >= entry.min_snr_db:
             rate = entry.data_rate_mbps
         else:
@@ -188,9 +185,7 @@ def duty_factor(
             return 1.0 - policy.lobe_width_rad / (2.0 * math.pi)
         return 1.0
     if isinstance(policy, OptimalPolicy):
-        _, gains = gain_grid(pattern)
-        d_required = policy.gamma * gains ** (1.0 / policy.alpha)
-        return float(np.mean(distance_m >= d_required))
+        return float(np.mean(distance_m >= optimal_contour(policy, pattern)))
     raise TypeError(f"unknown policy type {type(policy)!r}")
 
 
@@ -201,7 +196,6 @@ def throughput_trace(
     model: PathLossModel,
     policy: SharingPolicy,
     distance_m: float,
-    table: McsTable = DEFAULT_80211N,
     mode: str = "peak",
     n_time_steps: int = 512,
 ) -> List[Tuple[float, float, float, float]]:
@@ -209,7 +203,7 @@ def throughput_trace(
 
     theta(t) = 2*pi*t / T_scan over one rotation; at each step the link is
     gated by the policy contour (rate 0 while inside it) and otherwise
-    rated via the MCS table at the instantaneous SINR.
+    rated via ``DEFAULT_80211N`` at the instantaneous SINR.
     """
     if n_time_steps < 8:
         raise ValueError("n_time_steps must be at least 8 per scan")
@@ -217,14 +211,13 @@ def throughput_trace(
     theta = 2.0 * math.pi * t / radar.scan_time_s
     gains = gain_linear_array(pattern, theta)
     power = _radar_power_w(radar, link.su, gains, model, distance_m, mode)
-    signal = link.su.eirp_w / db_to_linear(link.link_loss_db)
-    sinr = signal / (wifi_noise_w(link) + power)
+    sinr = wifi_sinr(link, power)
     d_required = policy_profile(policy, pattern)(theta)
     permitted = distance_m >= d_required
     rows = []
     for i in range(n_time_steps):
         sinr_db = linear_to_db(float(sinr[i]))
-        rate = mcs_rate(table, sinr_db) if permitted[i] else 0.0
+        rate = mcs_rate(sinr_db) if permitted[i] else 0.0
         rows.append((float(t[i]), float(np.degrees(theta[i])), sinr_db, rate))
     return rows
 
@@ -236,7 +229,6 @@ def throughput_vs_time(
     model: PathLossModel,
     policy: SharingPolicy,
     distance_m: float,
-    table: McsTable = DEFAULT_80211N,
     mode: str = "peak",
     n_time_steps: int = 512,
 ) -> List[Tuple[float, float]]:
@@ -244,7 +236,7 @@ def throughput_vs_time(
     return [
         (t, rate)
         for (t, _az, _sinr, rate) in throughput_trace(
-            link, radar, pattern, model, policy, distance_m, table, mode, n_time_steps
+            link, radar, pattern, model, policy, distance_m, mode, n_time_steps
         )
     ]
 
@@ -256,12 +248,11 @@ def average_throughput(
     model: PathLossModel,
     policy: SharingPolicy,
     distance_m: float,
-    table: McsTable = DEFAULT_80211N,
     mode: str = "peak",
     n_time_steps: int = 512,
 ) -> float:
     """Scan-averaged throughput: the mean of the uniform time trace (Mbps)."""
     samples = throughput_vs_time(
-        link, radar, pattern, model, policy, distance_m, table, mode, n_time_steps
+        link, radar, pattern, model, policy, distance_m, mode, n_time_steps
     )
     return float(np.mean([rate for _t, rate in samples]))

@@ -353,8 +353,7 @@ def test_criterion_9_throughput_model():
     grid = np.geomspace(500.0, 600e3, 61)
     rate = {
         mode: [
-            average_throughput(link, RADAR_896, PATTERN, MODEL, policy, d,
-                               DEFAULT_80211N, mode)
+            average_throughput(link, RADAR_896, PATTERN, MODEL, policy, d, mode)
             for d in grid
         ]
         for mode in ("peak", "averaged")

@@ -483,6 +483,45 @@ def test_analytic_cap_admits_work_at_the_cap(tmp_path, monkeypatch):
     assert main(["throughput", "--config", "wifi_sharing", "--out", str(tmp_path)]) == 0
 
 
+def _refuse_to_solve(*args, **kwargs):
+    raise AssertionError("a policy solve started before the work check")
+
+
+@pytest.mark.parametrize(
+    "policy, solver, per_point",
+    [
+        # the fixture's beta scan: 61 grid betas, 2 + 80 golden-section
+        # solves and one for the chosen beta
+        ({}, "optimize_beta", 144),
+        ({"beta_grid": {"values": [1.0, 2.0, 4.0, 8.0]}}, "optimize_beta", 87),
+        ({"beta": 3.0}, "solve_main_side", 1),
+        ({"type": "optimal"}, "solve_optimal_profile", 1),
+        ({"type": "radar-blind"}, "solve_radar_blind", 1),
+    ],
+)
+def test_density_sweep_counts_the_solves_of_each_point(
+    tmp_path, capsys, monkeypatch, policy, solver, per_point
+):
+    # type_b_radar sweeps 9 densities; one evaluation under the cap is refused
+    monkeypatch.setattr("coexist.config.MAX_ANALYTIC_WORK", 9 * per_point - 1)
+    monkeypatch.setattr(f"coexist.cli.{solver}", _refuse_to_solve)
+    config = _variant(tmp_path, "type_b_radar", lambda cfg: cfg["policy"].update(policy))
+    out = tmp_path / "o"
+    assert main(["protect-multi", "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"error: sweeps.density_per_m2.count: {9 * per_point} evaluations"
+    )
+    if per_point > 1:
+        assert f"(9 points x {per_point} solves)" in err
+    assert list(out.iterdir()) == []
+
+
+def test_density_sweep_at_the_cap_runs(tmp_path, monkeypatch):
+    monkeypatch.setattr("coexist.config.MAX_ANALYTIC_WORK", 9 * 144)
+    assert main(["protect-multi", "--config", "type_b_radar", "--out", str(tmp_path)]) == 0
+
+
 def test_analytic_work_check_needs_no_allocation():
     # a billion-point grid is refused by arithmetic alone
     with pytest.raises(ValidationError, match=r"^x\.count: 1000000000 eval"):

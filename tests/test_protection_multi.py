@@ -96,11 +96,9 @@ def test_policy_validation():
     with pytest.raises(ValueError):
         RadarBlindPolicy(d_min_m=0.0)
     with pytest.raises(ValueError):
-        MainSideLobePolicy(d_min_m=1e3, d_max_m=2e3, beta=3.0, lobe_width_rad=0.1)
+        MainSideLobePolicy(d_min_m=1e3, beta=0.5, lobe_width_rad=0.1)
     with pytest.raises(ValueError):
-        MainSideLobePolicy(d_min_m=1e3, d_max_m=500.0, beta=0.5, lobe_width_rad=0.1)
-    with pytest.raises(ValueError):
-        MainSideLobePolicy(d_min_m=1e3, d_max_m=3e3, beta=3.0, lobe_width_rad=4.0)
+        MainSideLobePolicy(d_min_m=1e3, beta=3.0, lobe_width_rad=4.0)
 
 
 def test_default_lobe_width():
@@ -124,7 +122,7 @@ def test_policy_profiles():
     blind = RadarBlindPolicy(d_min_m=1234.0)
     assert np.all(policy_profile(blind, pattern)(theta) == 1234.0)
 
-    ms = MainSideLobePolicy(d_min_m=1e3, d_max_m=4e3, beta=4.0, lobe_width_rad=0.2)
+    ms = MainSideLobePolicy(d_min_m=1e3, beta=4.0, lobe_width_rad=0.2)
     prof = policy_profile(ms, pattern)
     # window is centred on boresight and wraps across 2*pi
     assert prof(np.array([0.0]))[0] == 4e3
@@ -220,11 +218,11 @@ def test_campbell_rejects_scalar_profile():
 
 
 def test_outage_probability():
-    stats = CampbellStats(mean_w=1.0, variance_w2=4.0, c_mu=0.0, c_sigma2=0.0)
+    stats = CampbellStats(mean_w=1.0, variance_w2=4.0)
     assert_allclose(outage_probability(stats, 1.0 + 2.0 * 1.2815515655446006), 0.1, rtol=1e-10)
     assert outage_probability(stats, 1e9) == 0.0
     # degenerate zero-variance field: outage is a step at the mean
-    step = CampbellStats(mean_w=1.0, variance_w2=0.0, c_mu=0.0, c_sigma2=0.0)
+    step = CampbellStats(mean_w=1.0, variance_w2=0.0)
     assert outage_probability(step, 2.0) == 0.0
     assert outage_probability(step, 0.5) == 1.0
 
@@ -296,7 +294,7 @@ def test_protected_area_closed_forms():
     pattern, model = _pattern(), _model()
     blind = RadarBlindPolicy(d_min_m=2e3)
     assert_allclose(protected_area_m2(blind, pattern, model), math.pi * 4e6, rtol=1e-12)
-    ms = MainSideLobePolicy(d_min_m=1e3, d_max_m=5e3, beta=5.0, lobe_width_rad=0.3)
+    ms = MainSideLobePolicy(d_min_m=1e3, beta=5.0, lobe_width_rad=0.3)
     # two rings: (beta^2 w/2) + (pi - w/2), all times d_min^2
     want = (25.0 * 0.15 + math.pi - 0.15) * 1e6
     assert_allclose(protected_area_m2(ms, pattern, model), want, rtol=1e-12)

@@ -1,7 +1,7 @@
 """Property tests for the contour-scale solve behind every field policy.
 
-``_scale_onto_constraint`` solves a*t^(2-alpha) + b*t^(1-alpha) = I_max by
-Newton's method.  Each draw fixes the root t*, the share of I_max the mean
+``_constraint`` solves a*t^(2-alpha) + b*t^(1-alpha) = I_max by Newton's
+method.  Each draw fixes the root t*, the share of I_max the mean
 term takes there, alpha and I_max, and builds Campbell moments with those
 coefficients, so a, b, t and I_max each span many decades.
 """
@@ -21,7 +21,7 @@ from coexist.protection_multi import (  # noqa: E402
     DeploymentField,
     ScaleNotFinite,
     _prefactors,
-    _scale_onto_constraint,
+    _constraint,
 )
 from coexist.protection_single import SecondaryUser  # noqa: E402
 
@@ -78,7 +78,7 @@ def test_scale_solves_the_constraint(alpha, log10_root, share, log10_i, i_factor
     model = PowerLawPathLoss(k0=1.0, alpha=alpha)
     t_root, i_max_w = 10.0**log10_root, 10.0**log10_i
     m1, m2 = _moments(model, t_root, share, i_max_w)
-    t = _scale_onto_constraint(FIELD, SU, model, 1.0, i_max_w, m1, m2)
+    t = _constraint(FIELD, SU, model, 1.0, i_max_w)(m1, m2)
 
     f = _equation(model, m1, m2, i_max_w)
     assert abs(f(t)) <= RESIDUAL_ULPS * EPS * i_max_w
@@ -91,7 +91,7 @@ def test_scale_solves_the_constraint(alpha, log10_root, share, log10_i, i_factor
     assert abs(t - reference) <= 1e-13 * reference
 
     # a looser cap admits a closer contour
-    looser = _scale_onto_constraint(FIELD, SU, model, 1.0, i_max_w * i_factor, m1, m2)
+    looser = _constraint(FIELD, SU, model, 1.0, i_max_w * i_factor)(m1, m2)
     assert looser < t
 
 
@@ -100,7 +100,7 @@ def test_scale_just_above_alpha_two_is_finite():
     # spread term's root still starts the solve left of the finite root
     model = PowerLawPathLoss(k0=1.0, alpha=2.0 + 1e-9)
     m1, m2 = _moments(model, 1e3, 0.5, 1e-12)
-    t = _scale_onto_constraint(FIELD, SU, model, 1.0, 1e-12, m1, m2)
+    t = _constraint(FIELD, SU, model, 1.0, 1e-12)(m1, m2)
     assert abs(t / 1e3 - 1.0) <= 1e-9
 
 
@@ -114,9 +114,9 @@ def test_bisection_finishes_an_unsettled_newton_solve(
 ):
     model = PowerLawPathLoss(k0=1.0, alpha=alpha)
     m1, m2 = _moments(model, t_root, share, i_max_w)
-    newton = _scale_onto_constraint(FIELD, SU, model, 1.0, i_max_w, m1, m2)
+    newton = _constraint(FIELD, SU, model, 1.0, i_max_w)(m1, m2)
     monkeypatch.setattr(protection_multi, "MAX_NEWTON_STEPS", steps)
-    finished = _scale_onto_constraint(FIELD, SU, model, 1.0, i_max_w, m1, m2)
+    finished = _constraint(FIELD, SU, model, 1.0, i_max_w)(m1, m2)
     assert abs(finished - newton) <= 1e-13 * newton
 
 
@@ -125,4 +125,4 @@ def test_scale_outside_float_range_raises():
     model = PowerLawPathLoss(k0=1.0, alpha=2.5)
     m1, m2 = _moments(model, 1e3, 0.5, 1e-12)
     with pytest.raises(ScaleNotFinite, match="contour scale is not finite"):
-        _scale_onto_constraint(FIELD, SU, model, 1.0, 1e-300, m1, m2)
+        _constraint(FIELD, SU, model, 1.0, 1e-300)(m1, m2)

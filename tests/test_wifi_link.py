@@ -111,13 +111,12 @@ def test_default_mcs_table_rows():
 
 
 def test_mcs_rate_boundaries():
-    table = DEFAULT_80211N
-    assert mcs_rate(table, 4.4999) == 0.0
-    assert mcs_rate(table, 4.5) == 6.5
-    assert mcs_rate(table, 13.5) == 39.0
-    assert mcs_rate(table, 21.4999) == 58.5
-    assert mcs_rate(table, 21.5) == 65.0
-    assert mcs_rate(table, 100.0) == 65.0
+    assert mcs_rate(4.4999) == 0.0
+    assert mcs_rate(4.5) == 6.5
+    assert mcs_rate(13.5) == 39.0
+    assert mcs_rate(21.4999) == 58.5
+    assert mcs_rate(21.5) == 65.0
+    assert mcs_rate(100.0) == 65.0
 
 
 def test_mcs_table_validation():
@@ -170,7 +169,7 @@ def test_duty_factor_radar_blind():
 def test_duty_factor_main_side_lobe():
     pattern = AntennaPattern(gmax_dbi=33.5)
     policy = MainSideLobePolicy(
-        d_min_m=1000.0, d_max_m=3700.0, beta=3.7, lobe_width_rad=math.radians(3.7)
+        d_min_m=1000.0, beta=3.7, lobe_width_rad=math.radians(3.7)
     )
     assert duty_factor(policy, pattern, 500.0) == 0.0
     # between the rings the terminal mutes only while the main lobe passes
