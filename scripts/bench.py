@@ -267,16 +267,11 @@ def _moment_misses(samples, analytic):
 
 
 def _time_kernel_workload(name, repeat):
+    from coexist.config import load_scenario
     from coexist.protection_multi import campbell_stats, sample_aggregate
-    from coexist.protection_single import SecondaryUser
 
-    su = SecondaryUser(
-        eirp_w=1.0,
-        bandwidth_hz=20e6,
-        antenna_gain_dbi=2.15,
-        antenna_height_m=3.0,
-        noise_figure_db=8.0,
-    )
+    # the timed tree's own record, whatever fields its version carries
+    su = load_scenario("type_b_radar").su
     field, pattern, model, d0, outer = _kernel_workloads()[name]
     profile = _constant_profile(d0)
     args = (field, su, pattern, model, 1.0, profile, outer)

@@ -252,6 +252,11 @@ def _solve_policy(
     fdr: float,
 ) -> tuple[SharingPolicy, Dict[str, Any]]:
     """Solve the requested policy for ``field``; returns (policy, result scalars)."""
+    if not i_max_w > 0.0:
+        raise ValidationError(
+            "detection.degraded: needs at least the baseline SNR, which leaves "
+            "no interference budget for a deployment-field policy"
+        )
     kind = cfg["type"]
     args = (field, scenario.su, scenario.pattern, scenario.pathloss, fdr, i_max_w)
     if kind == "radar-blind":
@@ -270,7 +275,7 @@ def _solve_policy(
         if "beta" in cfg:
             policy = solve_main_side(*args, beta=cfg["beta"], lobe_width_rad=lobe_width)
         else:
-            _, policy = optimize_beta(
+            policy = optimize_beta(
                 *args, lobe_width_rad=lobe_width, beta_grid=_beta_grid(cfg)
             )
         results = {
@@ -283,7 +288,7 @@ def _solve_policy(
         raise ValidationError(
             f"policy.type: {kind!r} is not a deployment-field policy"
         )
-    area = protected_area_m2(policy, scenario.pattern, scenario.pathloss)
+    area = protected_area_m2(policy, scenario.pattern)
     results["area_m2"] = area
     results["area_km2"] = area / 1e6
     return policy, results
@@ -653,7 +658,6 @@ def _cmd_fit_pathloss(
     distances = np.asarray(model.distances_m)
     attens = np.asarray(model.attenuations)
     k0, alpha = fit_power_law(zip(distances, attens))
-    fitted = PowerLawPathLoss(k0=k0, alpha=alpha)
     r2 = log_log_r_squared(distances, attens)
     tracker.table(
         "fit_pathloss",
@@ -665,8 +669,8 @@ def _cmd_fit_pathloss(
         ),
     )
     return {
-        "k0": fitted.k0,
-        "alpha": fitted.alpha,
+        "k0": k0,
+        "alpha": alpha,
         "r_squared": r2,
         "n_samples": int(len(distances)),
     }

@@ -168,9 +168,10 @@ def _build_radar(cfg: Dict[str, Any]) -> RadarSystem:
     wavelength = (
         cfg["wavelength_m"] if has_wl else SPEED_OF_LIGHT_M_S / cfg["frequency_hz"]
     )
-    el_rad = math.radians(cfg["el_beamwidth_deg"])
     # rotating fan-beam default: the scan covers a 2*pi band of el-beamwidth height
-    solid_angle = cfg.get("scan_solid_angle_sr", 2.0 * math.pi * el_rad)
+    solid_angle = cfg.get(
+        "scan_solid_angle_sr", 2.0 * math.pi * math.radians(cfg["el_beamwidth_deg"])
+    )
     return RadarSystem(
         tx_power_w=cfg["tx_power_w"],
         wavelength_m=wavelength,
@@ -183,10 +184,7 @@ def _build_radar(cfg: Dict[str, Any]) -> RadarSystem:
         scan_time_s=cfg["scan_time_s"],
         scan_solid_angle_sr=solid_angle,
         az_beamwidth_rad=math.radians(cfg["az_beamwidth_deg"]),
-        el_beamwidth_rad=el_rad,
         system_loss_db=cfg["system_loss_db"],
-        antenna_efficiency=cfg["antenna_efficiency"],
-        antenna_height_m=cfg["antenna_height_m"],
     )
 
 

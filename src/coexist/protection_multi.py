@@ -391,8 +391,7 @@ def solve_optimal_profile(
     A = C_mu * J and B = Qinv(p) * sqrt(C_s2 * J), J = int G^(2/alpha).
     """
     model = _require_power_law(model)
-    _, gains = gain_grid(pattern)
-    j_integral = periodic_rule(gains ** (2.0 / model.alpha))
+    j_integral = _optimal_moment(pattern, model.alpha)
     gamma = _constraint(field, su, model, fdr, i_max_w)(j_integral, j_integral)
     return OptimalPolicy(gamma=gamma, alpha=model.alpha)
 
@@ -416,6 +415,13 @@ def _blind_moments(pattern: Pattern) -> Tuple[float, float]:
     """(int G, int G^2): the Campbell moments of a constant unit contour."""
     _, gains = gain_grid(pattern)
     return periodic_rule(gains), periodic_rule(gains**2)
+
+
+@lru_cache(maxsize=32)
+def _optimal_moment(pattern: Pattern, alpha: float) -> float:
+    """J = int G^(2/alpha): both Campbell moments, and twice the area, of G^(1/alpha)."""
+    _, gains = gain_grid(pattern)
+    return periodic_rule(gains ** (2.0 / alpha))
 
 
 @lru_cache(maxsize=32)
@@ -502,7 +508,7 @@ def optimize_beta(
     i_max_w: float,
     lobe_width_rad: float,
     beta_grid: Sequence[float] | None = None,
-) -> Tuple[float, MainSideLobePolicy]:
+) -> MainSideLobePolicy:
     """Pick the d_max/d_min ratio minimising the total two-ring area.
 
     Coarse scan over ``beta_grid`` (default 1..16) followed by golden-
@@ -545,10 +551,9 @@ def optimize_beta(
             x2 = lo + invphi * (hi - lo)
             f2 = area_at(x2)
     beta_opt = 0.5 * (lo + hi)
-    policy = MainSideLobePolicy(
+    return MainSideLobePolicy(
         d_min_m=d_min_at(beta_opt), beta=beta_opt, lobe_width_rad=lobe_width_rad
     )
-    return beta_opt, policy
 
 
 def beta_scan_solves(beta_grid: Sequence[float] | None = None) -> int:
@@ -563,18 +568,14 @@ def profile_area_m2(profile: Callable[[np.ndarray], np.ndarray]) -> float:
     return periodic_rule(_profile_on_grid(profile, theta) ** 2) / 2.0
 
 
-def protected_area_m2(
-    policy: SharingPolicy, pattern: Pattern, model: PathLossModel
-) -> float:
+def protected_area_m2(policy: SharingPolicy, pattern: Pattern) -> float:
     """Total keep-out area enclosed by the policy's contour."""
     if isinstance(policy, RadarBlindPolicy):
         return math.pi * policy.d_min_m**2
     if isinstance(policy, MainSideLobePolicy):
         return _two_ring_area_m2(policy.beta, policy.lobe_width_rad, policy.d_min_m)
     if isinstance(policy, OptimalPolicy):
-        model = _require_power_law(model)
-        _, gains = gain_grid(pattern)
-        return policy.gamma**2 * periodic_rule(gains ** (2.0 / policy.alpha)) / 2.0
+        return policy.gamma**2 * _optimal_moment(pattern, policy.alpha) / 2.0
     raise TypeError(f"unknown policy type {type(policy)!r}")
 
 

@@ -47,8 +47,6 @@ class SecondaryUser:
     eirp_w: float
     bandwidth_hz: float
     antenna_gain_dbi: float
-    antenna_height_m: float
-    noise_figure_db: float
     delta_f_hz: float = 0.0
 
     def __post_init__(self) -> None:

@@ -45,10 +45,7 @@ class RadarSystem:
     scan_time_s: float
     scan_solid_angle_sr: float
     az_beamwidth_rad: float
-    el_beamwidth_rad: float
     system_loss_db: float
-    antenna_efficiency: float
-    antenna_height_m: float
 
     def __post_init__(self) -> None:
         positive = (
@@ -59,19 +56,14 @@ class RadarSystem:
             ("if_bandwidth_hz", self.if_bandwidth_hz),
             ("ambient_temp_k", self.ambient_temp_k),
             ("scan_time_s", self.scan_time_s),
-            ("antenna_height_m", self.antenna_height_m),
         )
         for name, value in positive:
             if not value > 0.0:
                 raise ValueError(f"{name} must be positive, got {value}")
         if not 0.0 < self.az_beamwidth_rad < 2.0 * math.pi:
             raise ValueError("az_beamwidth_rad must lie in (0, 2*pi)")
-        if not 0.0 < self.el_beamwidth_rad < 2.0 * math.pi:
-            raise ValueError("el_beamwidth_rad must lie in (0, 2*pi)")
         if not 0.0 < self.scan_solid_angle_sr <= 4.0 * math.pi:
             raise ValueError("scan_solid_angle_sr must lie in (0, 4*pi]")
-        if not 0.0 < self.antenna_efficiency <= 1.0:
-            raise ValueError("antenna_efficiency must lie in (0, 1]")
         if not self.pulse_width_s * self.prf_hz < 1.0:
             raise ValueError("duty cycle pulse_width_s * prf_hz must stay below 1")
 
@@ -139,9 +131,11 @@ def effective_snr(radar: RadarSystem, target: Target) -> float:
         SNR_eff = (T_scan / Omega) * P_T G lambda^2 f_R sigma
                   / ((4 pi)^2 d^4 N L)
 
-    with L the net system loss.  When L = 1/antenna_efficiency and the gain
-    follows G = 4 pi rho_A / (theta_az theta_el), this reduces exactly to
-    single_pulse_snr times the pulses-per-scan count.
+    with L the net system loss.  For a fan beam of azimuth and elevation
+    widths theta_az and theta_el and aperture efficiency rho_A, with
+    G = 4 pi rho_A / (theta_az theta_el), L = 1/rho_A and
+    Omega = 2 pi theta_el, this reduces exactly to single_pulse_snr times
+    the pulses-per-scan count.
     """
     gain = db_to_linear(radar.peak_gain_dbi)
     loss = db_to_linear(radar.system_loss_db)

@@ -69,10 +69,7 @@ RADAR = RadarSystem(
     scan_time_s=4.8,
     scan_solid_angle_sr=0.5263789013914324,
     az_beamwidth_rad=math.radians(1.3),
-    el_beamwidth_rad=math.radians(4.8),
     system_loss_db=2.0,
-    antenna_efficiency=0.63,
-    antenna_height_m=8.0,
 )
 # same radar transmitting 1 us pulses on an 896 us repetition interval,
 # the waveform used for the WiFi-side interference studies
@@ -82,8 +79,6 @@ SU = SecondaryUser(
     eirp_w=1.0,
     bandwidth_hz=20e6,
     antenna_gain_dbi=2.15,
-    antenna_height_m=3.0,
-    noise_figure_db=8.0,
 )
 PATTERN = AntennaPattern(gmax_dbi=33.5)
 MODEL = PowerLawPathLoss(k0=259.0, alpha=3.97)
@@ -184,7 +179,7 @@ def test_criterion_6_protection_table():
     i_max = BUDGET.i_max_w
     blind = solve_radar_blind(FIELD, SU, PATTERN, MODEL, FDR, i_max)
     optimal = solve_optimal_profile(FIELD, SU, PATTERN, MODEL, FDR, i_max)
-    _, main_side = optimize_beta(
+    main_side = optimize_beta(
         FIELD, SU, PATTERN, MODEL, FDR, i_max,
         lobe_width_rad=default_lobe_width_rad(PATTERN),
     )
@@ -192,9 +187,9 @@ def test_criterion_6_protection_table():
     contour = policy_profile(optimal, PATTERN)(np.linspace(-np.pi, np.pi, 14401))
     opt_min, opt_max = float(np.min(contour)), float(np.max(contour))
 
-    area_blind = protected_area_m2(blind, PATTERN, MODEL) / 1e6  # km^2
-    area_opt = protected_area_m2(optimal, PATTERN, MODEL) / 1e6
-    area_ms = protected_area_m2(main_side, PATTERN, MODEL) / 1e6
+    area_blind = protected_area_m2(blind, PATTERN) / 1e6  # km^2
+    area_opt = protected_area_m2(optimal, PATTERN) / 1e6
+    area_ms = protected_area_m2(main_side, PATTERN) / 1e6
     ratio = area_blind / area_opt
 
     def within(got, want, tol):
@@ -288,8 +283,8 @@ def test_criterion_8_contour_optimality():
         FIELD, SU, PATTERN, MODEL, policy_profile(wrong_shape, PATTERN), FDR, i_max
     )
     wrong = OptimalPolicy(gamma=optimal.gamma * t, alpha=MODEL.alpha + 1.0)
-    area_opt = protected_area_m2(optimal, PATTERN, MODEL)
-    area_wrong = protected_area_m2(wrong, PATTERN, MODEL)
+    area_opt = protected_area_m2(optimal, PATTERN)
+    area_wrong = protected_area_m2(wrong, PATTERN)
     caught = False
     try:
         verify_local_optimality(

@@ -33,8 +33,6 @@ SU = SecondaryUser(
     eirp_w=1.0,
     bandwidth_hz=20e6,
     antenna_gain_dbi=2.15,
-    antenna_height_m=3.0,
-    noise_figure_db=8.0,
 )
 
 
@@ -43,7 +41,7 @@ def _reference_scan(field, pattern, model, lobe_width, betas):
 
     def area(beta):
         policy = solve_main_side(field, SU, pattern, model, FDR, I_MAX_W, beta, lobe_width)
-        return protected_area_m2(policy, pattern, model)
+        return protected_area_m2(policy, pattern)
 
     i_best = int(np.argmin([area(b) for b in betas]))
     lo, hi = betas[max(i_best - 1, 0)], betas[min(i_best + 1, len(betas) - 1)]
@@ -96,9 +94,9 @@ def test_beta_scan_is_the_scalar_scan(log10_density, outage_max, alpha, gmax_dbi
     lobe_width = default_lobe_width_rad(pattern)
     betas = [float(b) for b in (np.linspace(1.0, 16.0, 61) if beta_grid is None else beta_grid)]
 
-    beta, policy = optimize_beta(
+    policy = optimize_beta(
         field, SU, pattern, model, FDR, I_MAX_W, lobe_width, beta_grid=beta_grid
     )
     reference = _reference_scan(field, pattern, model, lobe_width, betas)
-    assert (beta.hex(), policy.d_min_m.hex()) == tuple(x.hex() for x in reference)
+    assert (policy.beta.hex(), policy.d_min_m.hex()) == tuple(x.hex() for x in reference)
 

@@ -797,6 +797,90 @@ def test_unread_beta_sweep_exits_3(tmp_path, capsys):
     assert "'beta' was unexpected" in err
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("radar", "antenna_efficiency", 0.63),
+        ("radar", "antenna_height_m", 8.0),
+        ("su", "antenna_height_m", 3.0),
+        ("su", "noise_figure_db", 8.0),
+    ],
+)
+def test_key_no_result_reads_exits_3(tmp_path, capsys, section, key, value):
+    # the WiFi receiver's noise figure is wifi.rx_noise_figure_db, and no
+    # formula reads the others, so the schema refuses them
+    config = _variant(tmp_path, "type_b_radar", lambda cfg: _set(cfg, (section, key), value))
+    rc = main(["detect", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {section}: Additional properties are not allowed "
+        f"('{key}' was unexpected)\n"
+    )
+
+
+def test_elevation_beamwidth_of_a_full_turn_exits_3(tmp_path, capsys):
+    config = _variant(
+        tmp_path, "type_b_radar", lambda cfg: _set(cfg, ("radar", "el_beamwidth_deg"), 360.0)
+    )
+    rc = main(["detect", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: radar.el_beamwidth_deg: ")
+
+
+def _zero_budget(cfg):
+    # the degraded point needs more SNR than the baseline gives
+    cfg["detection"].pop("baseline_snr_db", None)
+    cfg["detection"]["degraded"]["pfa"] = 1e-12
+    cfg["field"] = {"density_per_m2": 1e-6, "activity_prob": 1.0, "outage_max": 0.1}
+
+
+@pytest.mark.parametrize(
+    "command, base, policy",
+    [
+        ("protect-multi", "type_b_radar", "optimal"),
+        ("protect-multi", "type_b_radar", "radar-blind"),
+        ("protect-multi", "type_b_radar", "main-side-lobe"),
+        ("throughput", "wifi_sharing", "optimal"),
+    ],
+)
+def test_zero_interference_budget_exits_3_for_field_policies(
+    tmp_path, capsys, command, base, policy
+):
+    config = _variant(tmp_path, base, _zero_budget)
+    out = tmp_path / "o"
+    rc = main([command, "--config", str(config), "--out", str(out), "--policy", policy])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: detection.degraded: ")
+    assert list(out.iterdir()) == []
+
+
+def test_zero_interference_budget_keeps_out_everywhere_for_one_user(tmp_path):
+    config = _variant(tmp_path, "type_b_radar", _zero_budget)
+    out = tmp_path / "o"
+    assert main(["protect-single", "--config", str(config), "--out", str(out)]) == 0
+    results = _summary(out)["results"]
+    assert results["i_max_w"] == 0.0
+    assert results["boresight_distance_m"] == "inf"
+    _, rows = _csv_rows(out / "protect_single.csv")
+    assert {row[2] for row in rows} == {"inf"}
+
+
+def test_fit_pathloss_reports_a_fit_shallower_than_r2(tmp_path):
+    # alpha <= 2 is no model the other commands accept, but it is the fit
+    samples = [[d, 10.0 * np.log10(259.0 * d**-1.8)] for d in (100.0, 1000.0, 10000.0)]
+    config = _variant(
+        tmp_path,
+        "type_b_radar",
+        lambda cfg: _set(cfg, ("pathloss",), {"type": "tabulated", "samples": samples}),
+    )
+    out = tmp_path / "out"
+    assert main(["fit-pathloss", "--config", str(config), "--out", str(out)]) == 0
+    results = _summary(out)["results"]
+    assert_allclose(results["alpha"], 1.8, rtol=1e-9)
+    assert_allclose(results["k0"], 259.0, rtol=1e-9)
+
+
 def _set(cfg, path, value):
     *parents, key = path
     for name in parents:

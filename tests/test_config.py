@@ -37,15 +37,11 @@ MINIMAL = {
         "az_beamwidth_deg": 1.3,
         "el_beamwidth_deg": 4.8,
         "system_loss_db": 2.0,
-        "antenna_efficiency": 0.63,
-        "antenna_height_m": 8.0,
     },
     "su": {
         "eirp_w": 1.0,
         "bandwidth_hz": 20e6,
         "antenna_gain_dbi": 2.15,
-        "antenna_height_m": 3.0,
-        "noise_figure_db": 8.0,
     },
     "pathloss": {"type": "power_law", "k0": 259.0, "alpha": 3.97},
 }

@@ -52,8 +52,6 @@ def _su() -> SecondaryUser:
         eirp_w=1.0,
         bandwidth_hz=20e6,
         antenna_gain_dbi=2.15,
-        antenna_height_m=3.0,
-        noise_figure_db=8.0,
     )
 
 
@@ -186,7 +184,7 @@ def test_campbell_scaling_in_density_and_eirp():
     double_lam = campbell_stats(
         DeploymentField(2e-6, 1.0, 0.1), _su(), _pattern(), _model(), _const_profile(2e3), FDR
     )
-    su4 = SecondaryUser(4.0, 20e6, 2.15, 3.0, 8.0)
+    su4 = SecondaryUser(4.0, 20e6, 2.15)
     quad_p = campbell_stats(_field(), su4, _pattern(), _model(), _const_profile(2e3), FDR)
     assert_allclose(double_lam.mean_w, 2.0 * base.mean_w, rtol=1e-13)
     assert_allclose(double_lam.variance_w2, 2.0 * base.variance_w2, rtol=1e-13)
@@ -265,15 +263,15 @@ def test_main_side_solver_and_beta_collapse():
 def test_optimize_beta():
     field, su, pattern, model = _field(), _su(), _pattern(), _model()
     w = default_lobe_width_rad(pattern)
-    beta, policy = optimize_beta(field, su, pattern, model, FDR, I_MAX_W, w)
-    assert_allclose(beta, 4.939173621966182, rtol=1e-9)
+    policy = optimize_beta(field, su, pattern, model, FDR, I_MAX_W, w)
+    assert_allclose(policy.beta, 4.939173621966182, rtol=1e-9)
     assert_allclose(policy.d_min_m, 433343.5470272076, rtol=1e-9)
     assert_allclose(policy.d_max_m, 2140359.0167260454, rtol=1e-9)
     # optimum beats its neighbours
-    area_opt = protected_area_m2(policy, pattern, model)
-    for other in (beta * 0.8, beta * 1.25):
+    area_opt = protected_area_m2(policy, pattern)
+    for other in (policy.beta * 0.8, policy.beta * 1.25):
         neighbour = solve_main_side(field, su, pattern, model, FDR, I_MAX_W, other, w)
-        assert protected_area_m2(neighbour, pattern, model) > area_opt
+        assert protected_area_m2(neighbour, pattern) > area_opt
 
 
 def test_policy_area_ordering():
@@ -282,10 +280,10 @@ def test_policy_area_ordering():
     w = default_lobe_width_rad(pattern)
     blind = solve_radar_blind(field, su, pattern, model, FDR, I_MAX_W)
     opt = solve_optimal_profile(field, su, pattern, model, FDR, I_MAX_W)
-    _, ms = optimize_beta(field, su, pattern, model, FDR, I_MAX_W, w)
-    a_blind = protected_area_m2(blind, pattern, model)
-    a_ms = protected_area_m2(ms, pattern, model)
-    a_opt = protected_area_m2(opt, pattern, model)
+    ms = optimize_beta(field, su, pattern, model, FDR, I_MAX_W, w)
+    a_blind = protected_area_m2(blind, pattern)
+    a_ms = protected_area_m2(ms, pattern)
+    a_opt = protected_area_m2(opt, pattern)
     assert a_opt < a_ms < a_blind
     assert_allclose(a_blind / a_opt, 11.507836689054937, rtol=1e-9)
 
@@ -293,15 +291,15 @@ def test_policy_area_ordering():
 def test_protected_area_closed_forms():
     pattern, model = _pattern(), _model()
     blind = RadarBlindPolicy(d_min_m=2e3)
-    assert_allclose(protected_area_m2(blind, pattern, model), math.pi * 4e6, rtol=1e-12)
+    assert_allclose(protected_area_m2(blind, pattern), math.pi * 4e6, rtol=1e-12)
     ms = MainSideLobePolicy(d_min_m=1e3, beta=5.0, lobe_width_rad=0.3)
     # two rings: (beta^2 w/2) + (pi - w/2), all times d_min^2
     want = (25.0 * 0.15 + math.pi - 0.15) * 1e6
-    assert_allclose(protected_area_m2(ms, pattern, model), want, rtol=1e-12)
+    assert_allclose(protected_area_m2(ms, pattern), want, rtol=1e-12)
     opt = OptimalPolicy(gamma=1e5, alpha=3.97)
     # area of the gamma G^(1/alpha) contour equals its direct integral
     assert_allclose(
-        protected_area_m2(opt, pattern, model),
+        protected_area_m2(opt, pattern),
         profile_area_m2(policy_profile(opt, pattern)),
         rtol=1e-12,
     )

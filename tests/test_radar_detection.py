@@ -45,10 +45,7 @@ def _atc_radar() -> RadarSystem:
         scan_time_s=4.8,
         scan_solid_angle_sr=0.5263789013914324,
         az_beamwidth_rad=math.radians(1.3),
-        el_beamwidth_rad=math.radians(4.8),
         system_loss_db=2.0,
-        antenna_efficiency=0.63,
-        antenna_height_m=8.0,
     )
 
 
@@ -178,8 +175,6 @@ def test_radar_system_validation():
     with pytest.raises(ValueError):
         _radar_with(tx_power_w=-1.0)
     with pytest.raises(ValueError):
-        _radar_with(antenna_efficiency=1.5)
-    with pytest.raises(ValueError):
         # duty cycle >= 1 is unphysical for a pulsed radar
         _radar_with(pulse_width_s=1e-2, prf_hz=1000.0)
 
@@ -197,10 +192,7 @@ def _radar_with(**overrides):
         scan_time_s=4.8,
         scan_solid_angle_sr=0.5263789013914324,
         az_beamwidth_rad=math.radians(1.3),
-        el_beamwidth_rad=math.radians(4.8),
         system_loss_db=2.0,
-        antenna_efficiency=0.63,
-        antenna_height_m=8.0,
     )
     base.update(overrides)
     return RadarSystem(**base)

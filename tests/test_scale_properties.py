@@ -37,8 +37,6 @@ SU = SecondaryUser(
     eirp_w=1.0,
     bandwidth_hz=20e6,
     antenna_gain_dbi=2.15,
-    antenna_height_m=3.0,
-    noise_figure_db=8.0,
 )
 
 alphas = st.floats(min_value=2.0, max_value=8.0, exclude_min=True)

@@ -44,8 +44,6 @@ SU = SecondaryUser(
     eirp_w=1.0,
     bandwidth_hz=20e6,
     antenna_gain_dbi=2.15,
-    antenna_height_m=3.0,
-    noise_figure_db=8.0,
 )
 
 

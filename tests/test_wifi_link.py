@@ -44,10 +44,7 @@ def _radar() -> RadarSystem:
         scan_time_s=4.8,
         scan_solid_angle_sr=0.5263789013914324,
         az_beamwidth_rad=math.radians(1.3),
-        el_beamwidth_rad=math.radians(4.8),
         system_loss_db=2.0,
-        antenna_efficiency=0.63,
-        antenna_height_m=8.0,
     )
 
 
@@ -56,8 +53,6 @@ def _su() -> SecondaryUser:
         eirp_w=1.0,
         bandwidth_hz=20e6,
         antenna_gain_dbi=2.15,
-        antenna_height_m=3.0,
-        noise_figure_db=8.0,
     )
 
 
