@@ -33,7 +33,12 @@ Every in-process measurement runs in a spawned worker that imports
 ``--baseline`` a second checkout's ``src`` is timed in the same run, in a
 worker of its own, and ``BENCH_<baseline-label>.json`` is written too.  The
 two trees alternate per measurement and per repeat (the one that goes first
-alternates as well), so drift in the host's speed falls on both alike:
+alternates as well), so drift in the host's speed falls on both alike.  Each
+interleaved measurement (``import_s``, ``commands_s``,
+``protect_multi_policies_s``, ``write_s``) then also records ``wins``: in how
+many of the repeats that tree took less time than the other, ties counting
+for neither.  A median alone moves by 10% between runs of the same code, so
+the wins say whether a move is real:
 
     python scripts/bench.py --label after
     python scripts/bench.py --label after \
@@ -83,6 +88,22 @@ _IMPORT = (
 
 def _summary(times):
     return {"min": min(times), "median": statistics.median(times)}
+
+
+def _summaries(runs):
+    """``_summary`` per tree label, with ``wins`` when more than one tree ran.
+
+    ``runs`` maps each label to its times, repeat by repeat; a tree wins a
+    repeat when its time is below every other tree's in that repeat.
+    """
+    result = {label: _summary(times) for label, times in runs.items()}
+    if len(runs) > 1:
+        for label, times in runs.items():
+            others = [other for key, other in runs.items() if key != label]
+            result[label]["wins"] = sum(
+                all(t < o[i] for o in others) for i, t in enumerate(times)
+            )
+    return result
 
 
 class Tree(NamedTuple):
@@ -141,8 +162,7 @@ def _import_time(src):
 
 
 def time_import(trees, repeat):
-    times = _alternate(trees, repeat, lambda tree: _import_time(tree.src))
-    return {label: _summary(runs) for label, runs in times.items()}
+    return _summaries(_alternate(trees, repeat, lambda tree: _import_time(tree.src)))
 
 
 def _load_times(name, repeat):
@@ -192,9 +212,10 @@ def time_runs(trees, argvs, repeat, clocked=False):
         runs = _alternate(
             trees, repeat, lambda tree: tree.pool.apply(_run_main, (argv, clocked))
         )
-        for label, pairs in runs.items():
-            (code,) = {code for code, _ in pairs}
-            result[label][key] = {"exit": code, **_summary([t for _, t in pairs])}
+        times = {label: [t for _, t in pairs] for label, pairs in runs.items()}
+        for label, summary in _summaries(times).items():
+            (code,) = {code for code, _ in runs[label]}
+            result[label][key] = {"exit": code, **summary}
     return result
 
 

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 config parse failure, 3 validation failure,
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -100,6 +101,11 @@ EXIT_COMPUTATION = 5
 
 POLICY_CHOICES = ("optimal", "radar-blind", "main-side-lobe", "single-user")
 
+# The half-degree azimuth grid of the default protect-single table and of the
+# protect-multi contour.  Read-only, so its CSV text can be built once.
+AZIMUTH_GRID_DEG = np.linspace(-180.0, 180.0, 721)
+AZIMUTH_GRID_DEG.flags.writeable = False
+
 
 def _scalar(value: Any) -> Any:
     """Coerce numpy scalars/bools to plain Python for stable serialisation."""
@@ -133,13 +139,22 @@ def _format_cell(value: Any) -> str:
     return str(value)
 
 
+@functools.cache
+def _azimuth_grid_text() -> tuple[str, ...]:
+    return tuple(map(float.__repr__, AZIMUTH_GRID_DEG.tolist()))
+
+
 def _csv_cells(column: Sequence[Any]) -> Any:
     """``_format_cell`` over one column, with the same text by cheaper routes.
 
-    A 1-D float64 array is formatted once per distinct bit pattern (contours
-    repeat a few dozen values over 721 rows); bit patterns, not values, keep
-    -0.0 apart from 0.0.  An all-float list skips the per-cell call.
+    ``AZIMUTH_GRID_DEG`` itself (by identity) is formatted once per process.
+    Any other 1-D float64 array is formatted once per distinct bit pattern
+    (contours repeat a few dozen values over 721 rows); bit patterns, not
+    values, keep -0.0 apart from 0.0.  An all-float list skips the per-cell
+    call.
     """
+    if column is AZIMUTH_GRID_DEG:
+        return _azimuth_grid_text()
     if isinstance(column, np.ndarray):
         if column.dtype == np.float64 and column.ndim == 1:
             bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
@@ -410,7 +425,7 @@ def _cmd_protect_single(
         spec = scenario.sweeps["theta_deg"]
         grid = np.array(resolve_grid(spec, "sweeps.theta_deg"))
     else:
-        grid = np.linspace(-180.0, 180.0, 721)
+        grid = AZIMUTH_GRID_DEG
     tracker.table(
         "protect_single",
         ("theta_deg", "gain_dbi", "protection_distance_m"),
@@ -462,11 +477,10 @@ def _cmd_protect_multi(
         }
     )
 
-    contour_theta = np.linspace(-180.0, 180.0, 721)
     tracker.table(
         "protect_multi_contour",
         ("theta_deg", "distance_m"),
-        (contour_theta, profile(np.radians(contour_theta))),
+        (AZIMUTH_GRID_DEG, profile(np.radians(AZIMUTH_GRID_DEG))),
     )
 
     if grid is not None:

@@ -948,6 +948,57 @@ def test_overflowing_db_field_exits_3(
 
 
 @pytest.mark.parametrize(
+    "command, path, value, words",
+    [
+        # each exited 5 unnamed: a power overflowed ("Numerical result out of
+        # range"), a moment underflowed to zero ("float division by zero") or
+        # the contour scale left the float range (ScaleNotFinite)
+        ("detect", ("target", "range_m"), 1e300, "greater than the maximum of 1000000000.0"),
+        ("protect-multi", ("radar", "if_bandwidth_hz"), 1e-300, "less than the minimum of 1"),
+        ("protect-multi", ("pathloss", "k0"), 1e300, "greater than the maximum of 1e+50"),
+        ("validate-mc", ("pathloss", "k0"), 1e-300, "less than the minimum of 1e-30"),
+        ("validate-mc", ("pathloss", "alpha"), 200, "greater than the maximum of 10"),
+        ("validate-mc", ("su", "eirp_w"), 1e-300, "less than the minimum of 1e-15"),
+        ("protect-multi", ("su", "eirp_w"), 1e-300, "less than the minimum of 1e-15"),
+        ("protect-multi", ("su", "eirp_w"), 1e300, "greater than the maximum of 1000000000000.0"),
+        ("protect-multi", ("su", "bandwidth_hz"), 1e300,
+         "greater than the maximum of 3000000000000.0"),
+        ("validate-mc", ("mc", "outer_radius_m"), 1e300, "greater than the maximum of 20000000.0"),
+    ],
+)
+def test_field_beyond_its_physical_range_exits_3(tmp_path, capsys, command, path, value, words):
+    config = _variant(tmp_path, "type_b_radar", lambda cfg: _set(cfg, path, value))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {'.'.join(path)}: ")
+    assert words in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, edits",
+    [
+        ("detect", {("target", "range_m"): 1e9}),
+        ("protect-multi", {("radar", "if_bandwidth_hz"): 1.0, ("su", "bandwidth_hz"): 3e12}),
+        ("protect-multi", {("pathloss", "k0"): 1e50, ("su", "eirp_w"): 1e12}),
+        ("protect-multi", {("pathloss", "k0"): 1e-30, ("su", "eirp_w"): 1e-15}),
+        ("validate-mc", {("pathloss", "k0"): 1e-30, ("su", "eirp_w"): 1e-15}),
+        ("validate-mc", {("pathloss", "alpha"): 10.0}),
+    ],
+)
+def test_fields_at_their_physical_bounds_run(tmp_path, command, edits):
+    def mutate(cfg):
+        cfg.pop("sweeps")
+        for path, value in edits.items():
+            _set(cfg, path, value)
+
+    config = _variant(tmp_path, "type_b_radar", mutate)
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "o")]
+    assert main([*argv, "--samples", "50"] if command == "validate-mc" else argv) == 0
+
+
+@pytest.mark.parametrize(
     "radius, words",
     [(1500.0, "must exceed the profile everywhere"), (10000.0, "of the analytic mean")],
 )

@@ -18,7 +18,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from coexist import cli  # noqa: E402
 from coexist.cli import _OutputTracker, _sanitize  # noqa: E402
+from coexist.config import load_scenario  # noqa: E402
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -169,3 +171,45 @@ def test_writer_refuses_ragged_tables(tmp_path):
     with pytest.raises(ValueError, match="differ in length"):
         tracker.table("t", ("a", "b"), ([1.0], [1.0, 2.0]))
     assert tracker.written == []
+
+
+def _float_table(path):
+    """Header and float columns of a CSV table whose cells are all floats."""
+    header, *lines = path.read_text().splitlines()
+    rows = [[float(cell) for cell in line.split(",")] for line in lines]
+    return header.split(","), [list(column) for column in zip(*rows)]
+
+
+@pytest.mark.parametrize(
+    "command, policy, table",
+    [
+        ("protect-single", None, "protect_single"),
+        ("protect-multi", "optimal", "protect_multi_contour"),
+        ("protect-multi", "radar-blind", "protect_multi_contour"),
+        ("protect-multi", "main-side-lobe", "protect_multi_contour"),
+    ],
+)
+def test_azimuth_grid_text_is_built_once_and_read_back(tmp_path, command, policy, table):
+    scenario = load_scenario("type_b_radar")
+    cli._azimuth_grid_text.cache_clear()
+    texts = []
+    for run in ("first", "second"):
+        cli.run_command(scenario, command, tmp_path / run, policy=policy)
+        texts.append((tmp_path / run / f"{table}.csv").read_text())
+    info = cli._azimuth_grid_text.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert texts[0] == texts[1]
+    columns, data = _float_table(tmp_path / "first" / f"{table}.csv")
+    assert data[0] == cli.AZIMUTH_GRID_DEG.tolist()
+    assert texts[0] == _reference("csv", columns, data)
+
+    cli.run_command(scenario, command, tmp_path / "json", fmt="json", policy=policy)
+    payload = json.loads((tmp_path / "json" / f"{table}.json").read_text())
+    assert [row[0] for row in payload["rows"]] == cli.AZIMUTH_GRID_DEG.tolist()
+    assert [row[1:] for row in payload["rows"]] == [list(row[1:]) for row in zip(*data)]
+
+
+def test_azimuth_grid_is_read_only():
+    with pytest.raises(ValueError, match="read-only"):
+        cli.AZIMUTH_GRID_DEG[0] = 0.0
+    assert cli.AZIMUTH_GRID_DEG[0] == -180.0
