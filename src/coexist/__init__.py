@@ -31,13 +31,8 @@ from .radar_detection import (
     effective_snr,
     max_range,
     noise_power_w,
-    pd_high_snr,
-    pfa_from_threshold,
-    pulses_per_scan,
     single_pulse_snr,
     snr_required_albersheim,
-    snr_required_noncoherent,
-    threshold_from_pfa,
 )
 from .propagation import (
     INFINITE_REJECTION,

@@ -59,6 +59,7 @@ from .protection_multi import (
     DeploymentField,
     OptimalPolicy,
     RadarBlindPolicy,
+    ScaleNotFinite,
     SharingPolicy,
     TruncationTooSevere,
     WorkTooLarge,
@@ -234,11 +235,7 @@ def _budget(scenario: Scenario) -> InterferenceBudget:
 
 
 def _cochannel_fdr(scenario: Scenario) -> float:
-    if scenario.su.delta_f_hz != 0.0:
-        raise ValidationError(
-            "su.delta_f_hz: CLI studies assume co-channel operation; "
-            "use the library API with an explicit fdr for offset channels"
-        )
+    # the CLI studies are co-channel; offset channels take fdr_general in the library
     return fdr_cochannel(scenario.su.bandwidth_hz, scenario.radar.if_bandwidth_hz)
 
 
@@ -266,7 +263,13 @@ def _solve_policy(
     i_max_w: float,
     fdr: float,
 ) -> tuple[SharingPolicy, Dict[str, Any]]:
-    """Solve the requested policy for ``field``; returns (policy, result scalars)."""
+    """Solve the requested policy for ``field``; returns (policy, result scalars).
+
+    The schema bounds the scenario's density and temperature, so a contour
+    scale (a/I_max)^(1/(alpha-2)) or an area beyond the float range comes
+    from an alpha near 2 and names ``pathloss.alpha``.  A swept density has
+    no such bound, and its overflow propagates unnamed.
+    """
     if not i_max_w > 0.0:
         raise ValidationError(
             "detection.degraded: needs at least the baseline SNR, which leaves "
@@ -274,36 +277,46 @@ def _solve_policy(
         )
     kind = cfg["type"]
     args = (field, scenario.su, scenario.pattern, scenario.pathloss, fdr, i_max_w)
-    if kind == "radar-blind":
-        policy: SharingPolicy = solve_radar_blind(*args)
-        results = {"d_min_m": policy.d_min_m}
-    elif kind == "optimal":
-        policy = solve_optimal_profile(*args)
-        contour = optimal_contour(policy, scenario.pattern)
-        results = {
-            "gamma_m": policy.gamma,
-            "d_min_m": float(np.min(contour)),
-            "d_max_m": float(np.max(contour)),
-        }
-    elif kind == "main-side-lobe":
-        lobe_width = _lobe_width_rad(scenario, cfg)
-        if "beta" in cfg:
-            policy = solve_main_side(*args, beta=cfg["beta"], lobe_width_rad=lobe_width)
+    try:
+        if kind == "radar-blind":
+            policy: SharingPolicy = solve_radar_blind(*args)
+            results = {"d_min_m": policy.d_min_m}
+        elif kind == "optimal":
+            policy = solve_optimal_profile(*args)
+            contour = optimal_contour(policy, scenario.pattern)
+            results = {
+                "gamma_m": policy.gamma,
+                "d_min_m": float(np.min(contour)),
+                "d_max_m": float(np.max(contour)),
+            }
+        elif kind == "main-side-lobe":
+            lobe_width = _lobe_width_rad(scenario, cfg)
+            if "beta" in cfg:
+                policy = solve_main_side(
+                    *args, beta=cfg["beta"], lobe_width_rad=lobe_width
+                )
+            else:
+                policy = optimize_beta(
+                    *args, lobe_width_rad=lobe_width, beta_grid=_beta_grid(cfg)
+                )
+            results = {
+                "beta": policy.beta,
+                "lobe_width_deg": math.degrees(lobe_width),
+                "d_min_m": policy.d_min_m,
+                "d_max_m": policy.d_max_m,
+            }
         else:
-            policy = optimize_beta(
-                *args, lobe_width_rad=lobe_width, beta_grid=_beta_grid(cfg)
+            raise ValidationError(
+                f"policy.type: {kind!r} is not a deployment-field policy"
             )
-        results = {
-            "beta": policy.beta,
-            "lobe_width_deg": math.degrees(lobe_width),
-            "d_min_m": policy.d_min_m,
-            "d_max_m": policy.d_max_m,
-        }
-    else:
+        area = protected_area_m2(policy, scenario.pattern)
+    except (ScaleNotFinite, OverflowError) as exc:
+        if field is not scenario.field:
+            raise
         raise ValidationError(
-            f"policy.type: {kind!r} is not a deployment-field policy"
-        )
-    area = protected_area_m2(policy, scenario.pattern)
+            "pathloss.alpha: the contour scale (a/I_max)^(1/(alpha-2)) or the area "
+            f"it bounds leaves the float range as alpha nears 2 ({exc})"
+        ) from None
     results["area_m2"] = area
     results["area_km2"] = area / 1e6
     return policy, results
@@ -518,8 +531,6 @@ def _cmd_throughput(
     )
     mode = wifi_cfg.get("mode", "peak")
     n_steps = wifi_cfg.get("n_time_steps", 512)
-    if "su_distance_m" not in wifi_cfg:
-        raise ValidationError("wifi.su_distance_m: required for throughput runs")
     su_distance = wifi_cfg["su_distance_m"]
     # refuse an oversized trace or sweep before either runs
     check_analytic_work("wifi.n_time_steps", n_steps)

@@ -183,7 +183,6 @@ def _build_radar(cfg: Dict[str, Any]) -> RadarSystem:
         ambient_temp_k=cfg["ambient_temp_k"],
         scan_time_s=cfg["scan_time_s"],
         scan_solid_angle_sr=solid_angle,
-        az_beamwidth_rad=math.radians(cfg["az_beamwidth_deg"]),
         system_loss_db=cfg["system_loss_db"],
     )
 
@@ -236,9 +235,7 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ValidationError(f"{section}: {exc}") from exc
 
     radar = build("radar", _build_radar, raw["radar"])
-    su_cfg = dict(raw["su"])
-    su_cfg.setdefault("delta_f_hz", 0.0)
-    su = build("su", lambda c: SecondaryUser(**c), su_cfg)
+    su = build("su", lambda c: SecondaryUser(**c), raw["su"])
     pathloss = build("pathloss", _build_pathloss, raw["pathloss"], concrete.parent)
 
     pattern_cfg = raw.get("antenna_pattern", {})

@@ -47,7 +47,6 @@ class SecondaryUser:
     eirp_w: float
     bandwidth_hz: float
     antenna_gain_dbi: float
-    delta_f_hz: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.eirp_w > 0.0:

@@ -1,10 +1,9 @@
 """Noise-limited rotating-radar detection budget.
 
 Link budget for a pulsed surveillance radar (single-pulse and scan-averaged
-SNR with noncoherent integration folded in), threshold statistics of the
-linear envelope detector, and the empirical detection-requirement relations
-of Albersheim (see Richards, "Fundamentals of Radar Signal Processing",
-ch. 6; Skolnik, "Introduction to Radar Systems").
+SNR with noncoherent integration folded in) and Albersheim's empirical
+single-pulse detection requirement (see Richards, "Fundamentals of Radar
+Signal Processing", ch. 6; Skolnik, "Introduction to Radar Systems").
 
 Conventions: gains and losses are stored in dB on the dataclasses (the way
 datasheets quote them) and converted to linear exactly once inside each
@@ -44,7 +43,6 @@ class RadarSystem:
     ambient_temp_k: float
     scan_time_s: float
     scan_solid_angle_sr: float
-    az_beamwidth_rad: float
     system_loss_db: float
 
     def __post_init__(self) -> None:
@@ -60,8 +58,6 @@ class RadarSystem:
         for name, value in positive:
             if not value > 0.0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        if not 0.0 < self.az_beamwidth_rad < 2.0 * math.pi:
-            raise ValueError("az_beamwidth_rad must lie in (0, 2*pi)")
         if not 0.0 < self.scan_solid_angle_sr <= 4.0 * math.pi:
             raise ValueError("scan_solid_angle_sr must lie in (0, 4*pi]")
         if not self.pulse_width_s * self.prf_hz < 1.0:
@@ -153,41 +149,6 @@ def effective_snr(radar: RadarSystem, target: Target) -> float:
     return numerator / denominator
 
 
-def pulses_per_scan(radar: RadarSystem) -> float:
-    """Pulses striking a point target during one scan (may be fractional)."""
-    illumination_s = radar.scan_time_s * radar.az_beamwidth_rad / (2.0 * math.pi)
-    return illumination_s * radar.prf_hz
-
-
-def pfa_from_threshold(vt_over_beta: float) -> float:
-    """False-alarm probability of the envelope detector.
-
-    Rayleigh-distributed noise envelope crossing the threshold V_T gives
-    P_FA = exp(-(V_T/beta)^2 / 2) with beta the noise RMS.
-    """
-    if vt_over_beta < 0.0:
-        raise ValueError("vt_over_beta must be non-negative")
-    return math.exp(-0.5 * vt_over_beta * vt_over_beta)
-
-
-def threshold_from_pfa(pfa: float) -> float:
-    """Normalised detector threshold V_T/beta achieving the requested P_FA."""
-    if not 0.0 < pfa <= 1.0:
-        raise ValueError("pfa must lie in (0, 1]")
-    return math.sqrt(2.0 * math.log(1.0 / pfa))
-
-
-def pd_high_snr(vt_over_beta: float, snr_p: float) -> float:
-    """Detection probability in the high-SNR Gaussian regime.
-
-    For a strong steady target the Rician envelope is well approximated as
-    Gaussian, giving P_D = (1 - erf(V_T/(beta sqrt(2)) - sqrt(SNR)))/2.
-    """
-    if snr_p < 0.0:
-        raise ValueError("snr_p must be non-negative")
-    return 0.5 * (1.0 - math.erf(vt_over_beta / math.sqrt(2.0) - math.sqrt(snr_p)))
-
-
 def albersheim_snr_linear(pd: float, pfa: float) -> float:
     """Albersheim's empirical single-pulse SNR requirement (linear ratio).
 
@@ -213,20 +174,6 @@ def snr_required_albersheim(roc: RocPoint) -> float:
     return albersheim_snr_linear(roc.pd, roc.pfa)
 
 
-def snr_required_noncoherent(roc: RocPoint, m: int) -> float:
-    """Per-pulse SNR in dB required when M pulses are combined noncoherently.
-
-    Empirical extension of the Albersheim relation:
-    -5 log10(M) + (6.2 + 4.54/sqrt(M + 0.44)) * log10(A + 0.12AB + 1.7B).
-    """
-    if m < 1 or int(m) != m:
-        raise ValueError("m must be a positive integer pulse count")
-    x = albersheim_snr_linear(roc.pd, roc.pfa)
-    if x <= 0.0:
-        raise ValueError("ROC point outside the approximation's domain")
-    return -5.0 * math.log10(m) + (6.2 + 4.54 / math.sqrt(m + 0.44)) * math.log10(x)
-
-
 def max_range(radar: RadarSystem, roc: RocPoint, rcs_m2: float) -> float:
     """Largest range at which the scan-averaged SNR still meets ``roc``.
 
@@ -249,11 +196,3 @@ def max_range(radar: RadarSystem, roc: RocPoint, rcs_m2: float) -> float:
     denominator = FOUR_PI**2 * noise_power_w(radar) * loss * snr_req
     return (numerator / denominator) ** 0.25
 
-
-def normalized_target(radar: RadarSystem, roc: RocPoint, rcs_m2: float) -> Target:
-    """Target placed exactly at max_range, where SNR equals the requirement.
-
-    Convenience for "normalised" studies that pin the interference-free
-    radar at its required operating point before admitting interference.
-    """
-    return Target(range_m=max_range(radar, roc, rcs_m2), rcs_m2=rcs_m2)

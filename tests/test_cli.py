@@ -688,8 +688,9 @@ def test_failed_run_removes_partial_outputs(tmp_path, capsys):
     ],
 )
 def test_off_channel_interferer_exits_3(tmp_path, capsys, command, base):
-    # the CLI rates only co-channel interferers; an offset one needs an FDR
-    # computed from spectra, which only the library API takes
+    # the CLI rates only co-channel interferers (an offset one needs an FDR
+    # computed from spectra, which only the library API takes), so no formula
+    # reads a channel offset and the schema refuses the key on every command
     def offset(cfg):
         cfg["su"]["delta_f_hz"] = 3e7
 
@@ -697,8 +698,10 @@ def test_off_channel_interferer_exits_3(tmp_path, capsys, command, base):
     out = tmp_path / "o"
     rc = main([command, "--config", str(config), "--out", str(out)])
     assert rc == 3
-    assert capsys.readouterr().err.startswith("error: su.delta_f_hz:")
-    assert list(out.iterdir()) == []
+    assert capsys.readouterr().err == (
+        "error: su: Additional properties are not allowed ('delta_f_hz' was unexpected)\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -804,11 +807,13 @@ def test_unread_beta_sweep_exits_3(tmp_path, capsys):
         ("radar", "antenna_height_m", 8.0),
         ("su", "antenna_height_m", 3.0),
         ("su", "noise_figure_db", 8.0),
+        ("radar", "az_beamwidth_deg", 1.3),
     ],
 )
 def test_key_no_result_reads_exits_3(tmp_path, capsys, section, key, value):
     # the WiFi receiver's noise figure is wifi.rx_noise_figure_db, and no
-    # formula reads the others, so the schema refuses them
+    # formula reads the others (the azimuth beamwidth fed only a pulses-per-
+    # scan count that no command reported), so the schema refuses them
     config = _variant(tmp_path, "type_b_radar", lambda cfg: _set(cfg, (section, key), value))
     rc = main(["detect", "--config", str(config), "--out", str(tmp_path / "o")])
     assert rc == 3
@@ -964,6 +969,8 @@ def test_overflowing_db_field_exits_3(
         ("protect-multi", ("su", "bandwidth_hz"), 1e300,
          "greater than the maximum of 3000000000000.0"),
         ("validate-mc", ("mc", "outer_radius_m"), 1e300, "greater than the maximum of 20000000.0"),
+        ("protect-multi", ("field", "density_per_m2"), 1e300, "greater than the maximum of 1"),
+        ("protect-multi", ("radar", "ambient_temp_k"), 1e-300, "less than the minimum of 1"),
     ],
 )
 def test_field_beyond_its_physical_range_exits_3(tmp_path, capsys, command, path, value, words):
@@ -985,6 +992,8 @@ def test_field_beyond_its_physical_range_exits_3(tmp_path, capsys, command, path
         ("protect-multi", {("pathloss", "k0"): 1e-30, ("su", "eirp_w"): 1e-15}),
         ("validate-mc", {("pathloss", "k0"): 1e-30, ("su", "eirp_w"): 1e-15}),
         ("validate-mc", {("pathloss", "alpha"): 10.0}),
+        ("protect-multi", {("field", "density_per_m2"): 1.0, ("radar", "ambient_temp_k"): 1.0}),
+        ("protect-multi", {("pathloss", "alpha"): 2.1}),
     ],
 )
 def test_fields_at_their_physical_bounds_run(tmp_path, command, edits):
@@ -996,6 +1005,42 @@ def test_fields_at_their_physical_bounds_run(tmp_path, command, edits):
     config = _variant(tmp_path, "type_b_radar", mutate)
     argv = [command, "--config", str(config), "--out", str(tmp_path / "o")]
     assert main([*argv, "--samples", "50"] if command == "validate-mc" else argv) == 0
+
+
+@pytest.mark.parametrize("alpha", [2.0001, 2.01, 2.02, 2.05])
+@pytest.mark.parametrize(
+    "command, base, policy",
+    [
+        ("protect-multi", "type_b_radar", "optimal"),
+        ("protect-multi", "type_b_radar", "radar-blind"),
+        ("protect-multi", "type_b_radar", "main-side-lobe"),
+        ("throughput", "wifi_sharing", "optimal"),
+    ],
+)
+def test_alpha_near_2_exits_3(tmp_path, capsys, command, base, policy, alpha):
+    # the contour scale (a/I_max)^(1/(alpha-2)), or the area it bounds,
+    # leaves the float range; these exited 5 unnamed
+    def mutate(cfg):
+        cfg.pop("sweeps", None)
+        cfg["pathloss"]["alpha"] = alpha
+        cfg["field"] = {"density_per_m2": 1e-6, "activity_prob": 1.0, "outage_max": 0.1}
+
+    config = _variant(tmp_path, base, mutate)
+    out = tmp_path / "o"
+    rc = main([command, "--config", str(config), "--out", str(out), "--policy", policy])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: pathloss.alpha: ")
+    assert list(out.iterdir()) == []
+
+
+def test_wifi_section_without_su_distance_exits_3(tmp_path, capsys):
+    config = _variant(tmp_path, "wifi_sharing", lambda cfg: cfg["wifi"].pop("su_distance_m"))
+    out = tmp_path / "o"
+    assert main(["throughput", "--config", str(config), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: wifi: 'su_distance_m' is a required property\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

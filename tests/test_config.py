@@ -34,7 +34,6 @@ MINIMAL = {
         "noise_figure_db": 4.0,
         "ambient_temp_k": 290.0,
         "scan_time_s": 4.8,
-        "az_beamwidth_deg": 1.3,
         "el_beamwidth_deg": 4.8,
         "system_loss_db": 2.0,
     },
@@ -74,7 +73,6 @@ def test_bundled_fixture_loads():
     assert radar.peak_gain_dbi == 33.5
     # wavelength derived from the 2.8 GHz carrier
     assert_allclose(radar.wavelength_m, 299792458.0 / 2.8e9, rtol=1e-15)
-    assert radar.az_beamwidth_rad == math.radians(1.3)
     assert isinstance(scenario.pattern, AntennaPattern)
     assert scenario.pattern.gmax_dbi == 33.5
     assert scenario.pathloss == PowerLawPathLoss(k0=259.0, alpha=3.97)

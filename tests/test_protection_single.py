@@ -1,7 +1,5 @@
 """Interference budget and single-interferer keep-out distances."""
 
-import math
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -43,7 +41,6 @@ def _atc_radar() -> RadarSystem:
         ambient_temp_k=290.0,
         scan_time_s=4.8,
         scan_solid_angle_sr=0.5263789013914324,
-        az_beamwidth_rad=math.radians(1.3),
         system_loss_db=2.0,
     )
 

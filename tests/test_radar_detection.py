@@ -1,4 +1,4 @@
-"""Radar link budget, envelope-detector statistics, Albersheim relations.
+"""Radar link budget and the Albersheim detection requirement.
 
 Reference values were computed independently from the closed-form
 expressions (Richards, "Fundamentals of Radar Signal Processing", ch. 6;
@@ -20,14 +20,8 @@ from coexist.radar_detection import (
     effective_snr,
     max_range,
     noise_power_w,
-    normalized_target,
-    pd_high_snr,
-    pfa_from_threshold,
-    pulses_per_scan,
     single_pulse_snr,
     snr_required_albersheim,
-    snr_required_noncoherent,
-    threshold_from_pfa,
 )
 
 
@@ -44,7 +38,6 @@ def _atc_radar() -> RadarSystem:
         ambient_temp_k=290.0,
         scan_time_s=4.8,
         scan_solid_angle_sr=0.5263789013914324,
-        az_beamwidth_rad=math.radians(1.3),
         system_loss_db=2.0,
     )
 
@@ -89,35 +82,6 @@ def test_roc_point_validation():
         RocPoint(pd=0.5, pfa=0.6)  # pfa must stay below pd
 
 
-def test_noncoherent_integration():
-    roc = RocPoint(pd=0.9, pfa=1e-6)
-    # the M-pulse empirical formula at M=1 sits ~0.02 dB from the exact
-    # single-pulse value -- a known property of the fit, both are frozen
-    assert_allclose(snr_required_noncoherent(roc, 1), 13.11454449432279, rtol=1e-13)
-    assert_allclose(snr_required_noncoherent(roc, 10), 4.9903859594287, rtol=1e-12)
-    # integration always helps per pulse
-    assert snr_required_noncoherent(roc, 10) < snr_required_noncoherent(roc, 1)
-    with pytest.raises(ValueError):
-        snr_required_noncoherent(roc, 0)
-
-
-def test_threshold_statistics():
-    assert_allclose(threshold_from_pfa(1e-6), 5.256521769756932, rtol=1e-13)
-    assert_allclose(pfa_from_threshold(3.0), 0.011108996538242306, rtol=1e-13)
-    # roundtrip
-    for pfa in (1e-8, 1e-6, 1e-3):
-        assert_allclose(pfa_from_threshold(threshold_from_pfa(pfa)), pfa, rtol=1e-12)
-
-
-def test_pd_high_snr_cross_check():
-    # Gaussian high-SNR approximation evaluated at the Albersheim operating
-    # point lands close to (slightly below) the nominal pd = 0.9
-    vt = threshold_from_pfa(1e-6)
-    snr = albersheim_snr_linear(0.9, 1e-6)
-    assert_allclose(pd_high_snr(vt, snr), 0.8770876133050098, rtol=1e-12)
-    assert pd_high_snr(vt, 1e4) > 0.999999
-
-
 def test_noise_power():
     radar = _atc_radar()
     n = noise_power_w(radar)
@@ -142,12 +106,6 @@ def test_effective_snr_includes_scan_integration():
     assert eff > single_pulse_snr(radar, target)
 
 
-def test_pulses_per_scan():
-    radar = _atc_radar()
-    # 4.8 s * (1.3/360) * 1059 Hz
-    assert_allclose(pulses_per_scan(radar), 4.8 * (1.3 / 360.0) * 1059.0, rtol=1e-12)
-
-
 def test_max_range():
     radar = _atc_radar()
     roc = RocPoint(pd=0.9, pfa=1e-6)
@@ -161,14 +119,6 @@ def test_max_range():
     )
     # degraded ROC point tolerates a longer range
     assert max_range(radar, RocPoint(pd=0.85, pfa=1e-6), 1.0) > d
-
-
-def test_normalized_target():
-    radar = _atc_radar()
-    roc = RocPoint(pd=0.9, pfa=1e-6)
-    t = normalized_target(radar, roc, rcs_m2=1.0)
-    assert t.rcs_m2 == 1.0
-    assert t.range_m == max_range(radar, roc, 1.0)
 
 
 def test_radar_system_validation():
@@ -191,7 +141,6 @@ def _radar_with(**overrides):
         ambient_temp_k=290.0,
         scan_time_s=4.8,
         scan_solid_angle_sr=0.5263789013914324,
-        az_beamwidth_rad=math.radians(1.3),
         system_loss_db=2.0,
     )
     base.update(overrides)

@@ -28,11 +28,6 @@ COMMANDS = (
     "fit-pathloss",
 )
 
-# only radar_detection.pulses_per_scan reads the azimuth beamwidth, and no
-# subcommand reports it: a new `results` key would change the key set that
-# the benchmark checks against bench/reference_study.json
-UNREAD_ALLOWED = {"radar.az_beamwidth_deg"}
-
 
 def _fixture(name):
     return json.loads(fixture_path(name).read_text())
@@ -107,7 +102,7 @@ def test_every_numeric_key_changes_an_output(tmp_path):
             present.add(key)
             if key not in read and _outputs(_moved(doc, path), tmp_path) != reference:
                 read.add(key)
-    unread = sorted(present - read - UNREAD_ALLOWED)
+    unread = sorted(present - read)
     assert not unread, (
         f"moving {unread} changes no output of any subcommand on either "
         "scenario; drop them from the schema, the fixtures and the records"

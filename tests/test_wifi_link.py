@@ -43,7 +43,6 @@ def _radar() -> RadarSystem:
         ambient_temp_k=290.0,
         scan_time_s=4.8,
         scan_solid_angle_sr=0.5263789013914324,
-        az_beamwidth_rad=math.radians(1.3),
         system_loss_db=2.0,
     )
 
