@@ -15,8 +15,12 @@ Writes ``BENCH_<label>.json`` at the repository root with:
   ``type_b_radar`` under each field policy (``--policy``), since the policies
   solve very different numbers of contour scales;
 - ``write_s``: per subcommand and fixture, the time spent inside the CLI's
-  output writers (``_OutputTracker.table`` and ``.summary``), measured in
-  separate runs in which only those two methods are wrapped by a clock;
+  output writers, measured in separate runs in which only
+  ``_OutputTracker.table`` and ``.summary`` are wrapped by a clock: their
+  sum, and under ``table`` and ``summary`` each one's own time;
+- ``commands_json_s`` and ``write_json_s``: the same as ``commands_s`` and
+  ``write_s`` with ``--format json``, for the subcommands and fixtures that
+  write a table (``TABLE_RUNS``);
 - ``kernel``: per Monte Carlo workload (a sparse field under the directional
   pattern, about 1.8k drawn points per sample, and a dense isotropic field,
   about 16.8k), the time of ``sample_aggregate`` per drawn point (min and median
@@ -35,7 +39,8 @@ worker of its own, and ``BENCH_<baseline-label>.json`` is written too.  The
 two trees alternate per measurement and per repeat (the one that goes first
 alternates as well), so drift in the host's speed falls on both alike.  Each
 interleaved measurement (``import_s``, ``commands_s``,
-``protect_multi_policies_s``, ``write_s``) then also records ``wins``: in how
+``protect_multi_policies_s``, ``write_s`` and their JSON twins) then also
+records ``wins`` (per writer too): in how
 many of the repeats that tree took less time than the other, ties counting
 for neither.  A median alone moves by 10% between runs of the same code, so
 the wins say whether a move is real:
@@ -76,6 +81,16 @@ COMMANDS = (
     "fit-pathloss",
 )
 FIELD_POLICIES = ("optimal", "radar-blind", "main-side-lobe")
+# the subcommand and fixture pairs that write a table; the others write only
+# summary.json, or exit 4 for a section the fixture lacks
+TABLE_RUNS = (
+    ("imax", "type_b_radar"),
+    ("protect-single", "type_b_radar"),
+    ("protect-single", "wifi_sharing"),
+    ("protect-multi", "type_b_radar"),
+    ("throughput", "wifi_sharing"),
+    ("validate-mc", "type_b_radar"),
+)
 KERNEL_WORKLOADS = ("directional", "dense")
 KERNEL_SAMPLES = 20_000
 KERNEL_SEED = 0
@@ -189,57 +204,68 @@ def time_loads(trees, repeat):
 
 
 def _run_main(argv, clocked):
-    """Exit code and seconds of one ``coexist.cli.main(argv + --out <tmp>)`` run.
+    """Exit code, seconds and writer seconds of one ``coexist.cli.main(argv + --out <tmp>)`` run.
 
-    With ``clocked``, the seconds are those spent inside the output writers.
+    With ``clocked``, the seconds are those spent inside the output writers,
+    and the writer seconds split them by writer name; otherwise the writer
+    seconds are empty.
     """
     from coexist.cli import main
 
     with contextlib.ExitStack() as stack:
         out = stack.enter_context(tempfile.TemporaryDirectory())
-        spent = stack.enter_context(_clocked_writers()) if clocked else None
+        spent = stack.enter_context(_clocked_writers()) if clocked else {}
         stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
         t0 = time.perf_counter()
         code = main([*argv, "--out", out])
         elapsed = time.perf_counter() - t0
-    return code, elapsed if spent is None else sum(spent)
+    per_writer = {name: sum(times) for name, times in spent.items()}
+    return code, sum(per_writer.values()) if clocked else elapsed, per_writer
 
 
 def time_runs(trees, argvs, repeat, clocked=False):
-    """Per tree label and key of ``argvs``: exit code and time summary of its runs."""
+    """Per tree label and key of ``argvs``: exit code and time summary of its runs.
+
+    With ``clocked``, each writer's own summary sits under its name as well.
+    """
     result = {tree.label: {} for tree in trees}
     for key, argv in argvs.items():
         runs = _alternate(
             trees, repeat, lambda tree: tree.pool.apply(_run_main, (argv, clocked))
         )
-        times = {label: [t for _, t in pairs] for label, pairs in runs.items()}
+        times = {label: [t for _, t, _ in triples] for label, triples in runs.items()}
         for label, summary in _summaries(times).items():
-            (code,) = {code for code, _ in runs[label]}
+            (code,) = {code for code, _, _ in runs[label]}
             result[label][key] = {"exit": code, **summary}
+        for name in runs[trees[0].label][0][2]:
+            times = {label: [w[name] for _, _, w in triples] for label, triples in runs.items()}
+            for label, summary in _summaries(times).items():
+                result[label][key][name] = summary
     return result
 
 
 @contextlib.contextmanager
 def _clocked_writers():
-    """Wrap ``_OutputTracker.table`` and ``.summary``; yields the list of their call times."""
+    """Wrap ``_OutputTracker.table`` and ``.summary``; yields their call times by name."""
     from coexist.cli import _OutputTracker
 
-    spent = []
-    originals = {name: getattr(_OutputTracker, name) for name in ("table", "summary")}
+    names = ("table", "summary")
+    spent = {name: [] for name in names}
+    originals = {name: getattr(_OutputTracker, name) for name in names}
 
-    def clocked(method):
+    def clocked(method, times):
         @functools.wraps(method)
         def wrapper(*args, **kwargs):
             t0 = time.perf_counter()
             try:
                 return method(*args, **kwargs)
             finally:
-                spent.append(time.perf_counter() - t0)
+                times.append(time.perf_counter() - t0)
 
         return wrapper
 
     for name, method in originals.items():
-        setattr(_OutputTracker, name, clocked(method))
+        setattr(_OutputTracker, name, clocked(method, spent[name]))
     try:
         yield spent
     finally:
@@ -384,12 +410,17 @@ def main(argv=None):
             p: ["protect-multi", "--config", "type_b_radar", "--policy", p]
             for p in FIELD_POLICIES
         }
+        json_runs = {
+            f"{c}/{n}": [c, "--config", n, "--format", "json"] for c, n in TABLE_RUNS
+        }
         measured = {
             "import_s": time_import(trees, args.repeat),
             "load_scenario_s": time_loads(trees, max(args.repeat, 50)),
             "commands_s": time_runs(trees, commands, args.repeat),
             "protect_multi_policies_s": time_runs(trees, policies, args.repeat),
             "write_s": time_runs(trees, commands, args.repeat, clocked=True),
+            "commands_json_s": time_runs(trees, json_runs, args.repeat),
+            "write_json_s": time_runs(trees, json_runs, args.repeat, clocked=True),
         }
     finally:
         for tree in trees:

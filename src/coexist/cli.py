@@ -3,7 +3,10 @@
 Each subcommand maps one study to machine-readable artifacts in --out:
 data tables (CSV by default, JSON with --format json) plus a summary.json
 that echoes the fully resolved configuration, the library version, and
-the seed, so every run is auditable and byte-for-byte reproducible.
+the seed, so every run is auditable and byte-for-byte reproducible.  Every
+JSON file is exactly what ``json.dumps(x, indent=2, sort_keys=True)``
+writes, with numpy scalars written as Python values and non-finite floats
+as the strings "nan", "inf" and "-inf"; ``_json_text`` writes it in one pass.
 
 Exit codes: 0 success, 2 config parse failure, 3 validation failure,
 4 missing scenario section, 5 computation failure.
@@ -108,31 +111,68 @@ AZIMUTH_GRID_DEG = np.linspace(-180.0, 180.0, 721)
 AZIMUTH_GRID_DEG.flags.writeable = False
 
 
-def _scalar(value: Any) -> Any:
-    """Coerce numpy scalars/bools to plain Python for stable serialisation."""
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    return value
+_encode_str = json.encoder.encode_basestring_ascii
 
 
-def _sanitize(obj: Any) -> Any:
-    """Make a payload strictly JSON-safe: no NaN/Inf literals, no numpy types."""
-    obj = _scalar(obj)
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            return "nan"
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    return obj
+def _json_float(value: float) -> str:
+    if value - value == 0.0:  # finite
+        return float.__repr__(value)
+    if value != value:
+        return '"nan"'
+    return '"inf"' if value > 0.0 else '"-inf"'
+
+
+# the text of a value of exactly one of these types; subclasses take the long way
+_JSON_LEAF: Dict[type, Callable[[Any], str]] = {
+    str: _encode_str,
+    float: _json_float,
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _json_text(obj: Any, newline: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, numpy scalars as Python values.
+
+    ``obj`` sits at line break and indent ``newline``.  NaN and the
+    infinities are written as "nan", "inf" and "-inf", tuples as lists.
+    Keys must be str.  A leaf in a container is written without a call here.
+    """
+    kind = type(obj)
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        items = [
+            _encode_str(k) + ": "
+            + (leaf(v) if (leaf := _JSON_LEAF.get(type(v := obj[k]))) else _json_text(v, inner))
+            for k in sorted(obj)
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        items = [
+            leaf(v) if (leaf := _JSON_LEAF.get(type(v))) else _json_text(v, inner) for v in obj
+        ]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind in _JSON_LEAF:
+        return _JSON_LEAF[kind](obj)
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return _json_text(obj.item(), newline)
+    # a subclass (np.str_ among them) is written as its base
+    for base in (str, float, int, dict, list, tuple):
+        if isinstance(obj, base):
+            leaf = _JSON_LEAF.get(base)
+            return leaf(obj) if leaf else _json_text(base(obj), newline)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _format_cell(value: Any) -> str:
-    value = _scalar(value)
+    if isinstance(value, (np.floating, np.integer, np.bool_)):
+        value = value.item()
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -145,26 +185,29 @@ def _azimuth_grid_text() -> tuple[str, ...]:
     return tuple(map(float.__repr__, AZIMUTH_GRID_DEG.tolist()))
 
 
-def _csv_cells(column: Sequence[Any]) -> Any:
-    """``_format_cell`` over one column, with the same text by cheaper routes.
+def _column_text(column: Sequence[Any], float_text: Callable, cell_text: Callable) -> Any:
+    """``cell_text`` over one column, with the same text by cheaper routes.
 
-    ``AZIMUTH_GRID_DEG`` itself (by identity) is formatted once per process.
-    Any other 1-D float64 array is formatted once per distinct bit pattern
-    (contours repeat a few dozen values over 721 rows); bit patterns, not
-    values, keep -0.0 apart from 0.0.  An all-float list skips the per-cell
-    call.
+    ``float_text`` must agree with ``cell_text`` on a Python float.  The
+    finite ``AZIMUTH_GRID_DEG`` itself (by identity) is formatted once per
+    process, any other 1-D float64 array once per distinct bit pattern
+    (contours repeat a few dozen values over 721 rows; bit patterns keep -0.0
+    apart from 0.0).  An all-float list skips the per-cell call.
     """
     if column is AZIMUTH_GRID_DEG:
         return _azimuth_grid_text()
     if isinstance(column, np.ndarray):
         if column.dtype == np.float64 and column.ndim == 1:
-            bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-            text = list(map(float.__repr__, bits.view(np.float64).tolist()))
-            return map(text.__getitem__, inverse.tolist())
+            # np.unique(keys, return_inverse=True), without its Python overhead
+            keys = column.view(np.int64)
+            ordered = np.sort(keys)
+            bits = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+            text = list(map(float_text, bits.view(np.float64).tolist()))
+            return np.array(text, dtype=object)[np.searchsorted(bits, keys)].tolist()
         column = column.tolist()
     if set(map(type, column)) <= {float}:
-        return map(float.__repr__, column)
-    return map(_format_cell, column)
+        return map(float_text, column)
+    return map(cell_text, column)
 
 
 class _OutputTracker:
@@ -185,28 +228,24 @@ class _OutputTracker:
             raise ValueError(f"table {name}: columns differ in length")
         if self.fmt == "json":
             path = self.out_dir / f"{name}.json"
-            # numpy arrays become Python scalars once per column, not per cell
-            cells = [
-                map(_sanitize, c.tolist() if isinstance(c, np.ndarray) else c)
-                for c in data
-            ]
-            payload = {"columns": list(columns), "rows": list(map(list, zip(*cells)))}
-            path.write_text(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n"
-            )
+            # _json_text's layout, each row's cells joined as text at depth 3
+            cell = "\n      "
+            cells = [_column_text(c, _json_float, lambda v: _json_text(v, cell)) for c in data]
+            rows = [f"[{cell}{(',' + cell).join(row)}\n    ]" for row in zip(*cells)]
+            rows_text = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+            columns_text = _json_text(list(columns), "\n  ")
+            text = f'{{\n  "columns": {columns_text},\n  "rows": {rows_text}\n}}\n'
         else:
             path = self.out_dir / f"{name}.csv"
-            cells = [_csv_cells(column) for column in data]
-            lines = [",".join(columns), *map(",".join, zip(*cells))]
-            path.write_text("\n".join(lines) + "\n")
+            cells = [_column_text(c, float.__repr__, _format_cell) for c in data]
+            text = "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
+        path.write_text(text)
         self.written.append(path)
         return path
 
     def summary(self, payload: Dict[str, Any]) -> Path:
         path = self.out_dir / "summary.json"
-        path.write_text(
-            json.dumps(_sanitize(payload), indent=2, sort_keys=True) + "\n"
-        )
+        path.write_text(_json_text(payload) + "\n")
         self.written.append(path)
         return path
 
@@ -265,10 +304,11 @@ def _solve_policy(
 ) -> tuple[SharingPolicy, Dict[str, Any]]:
     """Solve the requested policy for ``field``; returns (policy, result scalars).
 
-    The schema bounds the scenario's density and temperature, so a contour
+    The schema bounds every density and the temperature, so a contour
     scale (a/I_max)^(1/(alpha-2)) or an area beyond the float range comes
-    from an alpha near 2 and names ``pathloss.alpha``.  A swept density has
-    no such bound, and its overflow propagates unnamed.
+    from an alpha near 2.  It names ``pathloss.alpha`` for the scenario's
+    field, and ``sweeps.density_per_m2`` for a swept density, which can
+    reach past the float range where the scenario's own does not.
     """
     if not i_max_w > 0.0:
         raise ValidationError(
@@ -311,11 +351,11 @@ def _solve_policy(
             )
         area = protected_area_m2(policy, scenario.pattern)
     except (ScaleNotFinite, OverflowError) as exc:
-        if field is not scenario.field:
-            raise
+        name = "pathloss.alpha" if field is scenario.field else "sweeps.density_per_m2"
         raise ValidationError(
-            "pathloss.alpha: the contour scale (a/I_max)^(1/(alpha-2)) or the area "
-            f"it bounds leaves the float range as alpha nears 2 ({exc})"
+            f"{name}: the contour scale (a/I_max)^(1/(alpha-2)) or the area it bounds "
+            f"at a density of {field.density_per_m2!r} per m2 leaves the float range "
+            f"as alpha nears 2 ({exc})"
         ) from None
     results["area_m2"] = area
     results["area_km2"] = area / 1e6

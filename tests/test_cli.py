@@ -19,7 +19,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import coexist
-from coexist import _mc_kernels
+from coexist import _mc_kernels, cli
 from coexist.cli import main, run_command
 from coexist.config import ValidationError, fixture_path, load_scenario, resolve_grid
 
@@ -325,6 +325,40 @@ def test_format_json_tables(tmp_path):
     assert table["columns"] == ["pd_drop", "inr_db"]
     assert len(table["rows"]) == 6
     assert _summary(out)["config"]["output"]["format"] == "json"
+
+
+# every command and fixture that runs: the other pairs exit 4 (a section the
+# fixture lacks) and protect-multi on wifi_sharing exits 3 (its single-user policy)
+RUNNING_PAIRS = [
+    ("detect", "type_b_radar", None),
+    ("imax", "type_b_radar", None),
+    ("imax", "wifi_sharing", None),
+    ("protect-single", "type_b_radar", None),
+    ("protect-single", "wifi_sharing", None),
+    ("protect-multi", "type_b_radar", None),
+    ("protect-multi", "type_b_radar", "optimal"),
+    ("protect-multi", "type_b_radar", "radar-blind"),
+    ("throughput", "wifi_sharing", None),
+    ("validate-mc", "type_b_radar", None),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command, base, policy", RUNNING_PAIRS)
+def test_every_json_file_is_what_json_dumps_writes(tmp_path, command, base, policy, fmt):
+    from test_writer_properties import reference_json
+
+    samples = 300 if command == "validate-mc" else None
+    payload = run_command(
+        load_scenario(base), command, tmp_path, fmt=fmt, samples=samples, policy=policy
+    )
+    written = sorted(tmp_path.iterdir())
+    assert {p.suffix for p in written} <= {".json", f".{fmt}"}
+    for path in written:
+        if path.suffix == ".json":
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "summary.json").read_text() == reference_json(payload)
 
 
 def test_unknown_format_rejected_by_argparse(tmp_path):
@@ -662,19 +696,65 @@ def test_single_user_policy_rejected_for_field_study(tmp_path, capsys):
     assert "single-user" in capsys.readouterr().err
 
 
-def test_failed_run_removes_partial_outputs(tmp_path, capsys):
-    # the contour table is written before the density sweep runs; a density
-    # the schema accepts but whose contour scale overflows the float range
-    # must fail the run AND remove the table that was already on disk
-    def poison_sweep(cfg):
-        cfg["sweeps"]["density_per_m2"] = {"values": [1e-6, 1e300]}
+def test_failed_run_removes_partial_outputs(tmp_path, capsys, monkeypatch):
+    # the contour table is written before the density sweep runs; a solver
+    # that fails on the sweep's first point must fail the run AND remove the
+    # table that was already on disk
+    solve, calls = cli.optimize_beta, []
 
-    config = _variant(tmp_path, "type_b_radar", poison_sweep)
+    def fail_on_second_call(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("solver failed on its second call")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "optimize_beta", fail_on_second_call)
     out = tmp_path / "out"
-    rc = main(["protect-multi", "--config", str(config), "--out", str(out)])
+    rc = main(["protect-multi", "--config", "type_b_radar", "--out", str(out)])
     assert rc == 5
-    assert "contour scale is not finite" in capsys.readouterr().err
+    assert len(calls) == 2
+    assert "solver failed on its second call" in capsys.readouterr().err
     assert out.is_dir()
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "grid, field",
+    [
+        ({"values": [1e-6, 1e300]}, "sweeps.density_per_m2.values.1:"),
+        ({"values": [1e-6, 1.5]}, "sweeps.density_per_m2.values.1:"),
+        ({"start": 2.0, "stop": 3.0, "count": 2}, "sweeps.density_per_m2.start:"),
+        ({"start": 1e-6, "stop": 1e300, "count": 2}, "sweeps.density_per_m2.stop:"),
+    ],
+)
+def test_density_sweep_above_one_per_m2_exits_3(tmp_path, capsys, grid, field):
+    # bounded like field.density_per_m2; 1e300 exited 5 on an unnamed overflow
+    def set_sweep(cfg):
+        cfg["sweeps"]["density_per_m2"] = grid
+
+    config = _variant(tmp_path, "type_b_radar", set_sweep)
+    out = tmp_path / "o"
+    assert main(["protect-multi", "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} ")
+    assert "greater than the maximum of 1" in err
+    assert not out.exists()
+
+
+def test_density_sweep_overflow_names_the_sweep(tmp_path, capsys):
+    # at alpha 2.1 the scenario's own density solves, but a swept one of
+    # 1 per m2 takes the contour scale or its area past the float range
+    def mutate(cfg):
+        cfg["pathloss"]["alpha"] = 2.1
+        cfg["sweeps"]["density_per_m2"] = {"values": [1e-6, 1.0]}
+
+    config = _variant(tmp_path, "type_b_radar", mutate)
+    out = tmp_path / "o"
+    argv = ["protect-multi", "--config", str(config), "--out", str(out)]
+    assert main([*argv, "--policy", "radar-blind"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweeps.density_per_m2: ")
+    assert "at a density of 1.0 per m2" in err
     assert list(out.iterdir()) == []
 
 

@@ -1,13 +1,14 @@
-"""Property tests: the column-at-a-time table writer writes what a per-cell writer would.
+"""Property tests: the CLI's writers write what the first, per-value writers did.
 
-The reference below formats one cell at a time, as the CLI's tables were
-first written: numpy scalars as their Python values, booleans as
-``true``/``false``, floats by ``repr`` and everything else by ``str`` for
-CSV; ``_sanitize`` per cell and ``json.dumps(indent=2, sort_keys=True)``
-for JSON.
+The references below are those writers.  A CSV table was formatted one cell
+at a time: numpy scalars as their Python values, booleans as
+``true``/``false``, floats by ``repr`` and everything else by ``str``.  A
+JSON file (``summary.json`` and every JSON table) was ``sanitize`` then
+``json.dumps(indent=2, sort_keys=True)``.
 """
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -19,8 +20,30 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from coexist import cli  # noqa: E402
-from coexist.cli import _OutputTracker, _sanitize  # noqa: E402
+from coexist.cli import _OutputTracker  # noqa: E402
 from coexist.config import load_scenario  # noqa: E402
+
+
+def sanitize(obj):
+    """Make a payload strictly JSON-safe: no NaN/Inf literals, no numpy types."""
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        obj = obj.item()
+    if isinstance(obj, float):
+        if math.isnan(obj):
+            return "nan"
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
+        return obj
+    if isinstance(obj, dict):
+        return {str(k): sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [sanitize(v) for v in obj]
+    return obj
+
+
+def reference_json(obj):
+    return json.dumps(sanitize(obj), indent=2, sort_keys=True) + "\n"
+
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -43,8 +66,7 @@ def _reference_cell(value):
 def _reference(fmt, columns, data):
     rows = list(zip(*data))
     if fmt == "json":
-        payload = {"columns": list(columns), "rows": [[_sanitize(v) for v in r] for r in rows]}
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return reference_json({"columns": list(columns), "rows": rows})
     lines = [",".join(columns)] + [",".join(_reference_cell(v) for v in r) for r in rows]
     return "\n".join(lines) + "\n"
 
@@ -96,6 +118,60 @@ def test_writer_matches_the_per_cell_reference(table, fmt):
     with tempfile.TemporaryDirectory() as tmp:
         path = _OutputTracker(Path(tmp), fmt).table("t", columns, data)
         assert path.read_text() == _reference(fmt, columns, data)
+
+
+# strings the encoder escapes: quotes, backslashes, control characters and
+# non-ASCII text, a line separator and a character beyond the BMP among them
+ESCAPED = st.sampled_from(
+    ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600", "a"]
+)
+strings = st.one_of(st.text(max_size=8), st.text(ESCAPED, max_size=8))
+leaves = st.one_of(
+    floats,
+    floats.map(np.float64),
+    floats32.map(np.float32),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.none(),
+    strings,
+    strings.map(np.str_),
+)
+
+
+def nested(depth):
+    """A leaf, or a str-keyed dict, list or tuple of ``nested(depth - 1)``."""
+    if depth == 0:
+        return leaves
+    inner = nested(depth - 1)
+    return st.one_of(
+        leaves,
+        st.dictionaries(strings, inner, max_size=4),
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+    )
+
+
+@PROPERTY
+@given(payload=st.dictionaries(strings, nested(3), max_size=4))
+def test_summary_matches_the_reference(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _OutputTracker(Path(tmp), "json").summary(payload)
+        assert path.read_text() == reference_json(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"a": object()}, {"a": [np.zeros(2)]}, {"a": {1: 2.0}}],
+    ids=["object", "array", "int-key"],
+)
+def test_summary_refuses_what_it_cannot_write(tmp_path, payload):
+    tracker = _OutputTracker(tmp_path, "json")
+    with pytest.raises(TypeError):
+        tracker.summary(payload)
+    assert tracker.written == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def _bits(value):
