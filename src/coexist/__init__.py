@@ -76,7 +76,6 @@ from .protection_multi import (
     optimize_beta,
     outage_probability,
     policy_profile,
-    profile_area_m2,
     protected_area_m2,
     rescale_to_constraint,
     sample_aggregate,

@@ -53,6 +53,7 @@ from .propagation import (
 from .protection_single import (
     InterferenceBudget,
     dbm,
+    distance_at_gain,
     inr_vs_performance_drop,
     max_tolerable_interference,
     protection_distance,
@@ -279,14 +280,9 @@ def _cochannel_fdr(scenario: Scenario) -> float:
 
 
 def _policy_config(scenario: Scenario, override: str | None) -> Dict[str, Any]:
-    cfg = dict(scenario.policy)
     if override is not None:
-        cfg["type"] = override
-    if "type" not in cfg:
-        raise MissingSection(
-            "scenario is missing the 'policy' section required here"
-        )
-    return cfg
+        return dict(scenario.policy, type=override)
+    return dict(scenario.require("policy"))  # the schema requires policy.type
 
 
 def _lobe_width_rad(scenario: Scenario, cfg: Dict[str, Any]) -> float:
@@ -436,19 +432,16 @@ def _cmd_imax(scenario: Scenario, tracker: _OutputTracker, opts) -> Dict[str, An
     if "pd_drop" in scenario.sweeps:
         baseline_roc, _ = scenario.roc_pair()
         grid = resolve_grid(scenario.sweeps["pd_drop"], "sweeps.pd_drop")
-        for drop in grid:
-            if not 0.0 < baseline_roc.pd - drop < 1.0:
-                raise ValidationError(
-                    f"sweeps.pd_drop: pd0 - drop = {baseline_roc.pd - drop} "
-                    "outside (0, 1)"
-                )
-        sweep = inr_vs_performance_drop(
-            scenario.radar,
-            budget.baseline_snr_linear,
-            baseline_roc.pd,
-            baseline_roc.pfa,
-            grid,
-        )
+        try:
+            sweep = inr_vs_performance_drop(
+                scenario.radar,
+                budget.baseline_snr_linear,
+                baseline_roc.pd,
+                baseline_roc.pfa,
+                grid,
+            )
+        except ValueError as exc:
+            raise ValidationError(f"sweeps.pd_drop: {exc}") from None
         tracker.table("imax_sweep", ("pd_drop", "inr_db"), tuple(zip(*sweep)))
     return results
 
@@ -479,10 +472,14 @@ def _cmd_protect_single(
         grid = np.array(resolve_grid(spec, "sweeps.theta_deg"))
     else:
         grid = AZIMUTH_GRID_DEG
+    gains_dbi = gain_dbi(scenario.pattern, grid)
+    distances = distance_at_gain(
+        scenario.su, scenario.pathloss, budget, db_to_linear(gains_dbi), fdr
+    )
     tracker.table(
         "protect_single",
         ("theta_deg", "gain_dbi", "protection_distance_m"),
-        (grid, gain_dbi(scenario.pattern, grid), distance_at(grid)),
+        (grid, gains_dbi, distances),
     )
     return results
 

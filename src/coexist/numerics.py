@@ -19,8 +19,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-N_PANELS_DEFAULT = 4096  # azimuth grid: dozens of samples across the main lobe
-
 _STANDARD_NORMAL = NormalDist()
 
 

@@ -27,7 +27,6 @@ from typing import Callable, Sequence, Tuple, Union
 import numpy as np
 
 from .numerics import (
-    N_PANELS_DEFAULT,
     TWO_PI,
     RootBracket,
     periodic_rule,
@@ -46,8 +45,6 @@ from .protection_single import SecondaryUser
 from . import _mc_kernels
 
 WorkTooLarge = _mc_kernels.WorkTooLarge  # sample_aggregate raises it
-
-PROFILE_TABLE_SIZE = 16384
 
 MAX_NEWTON_STEPS = 64  # the contour scale settles in two to five; bisection after
 
@@ -171,16 +168,17 @@ def default_lobe_width_rad(pattern: Pattern) -> float:
     return 2.0 * math.radians(pattern.theta_r_deg)
 
 
+N_PANELS = 4096  # the one azimuth grid: dozens of panels across the main lobe
+AZIMUTHS_RAD = np.linspace(0.0, TWO_PI, N_PANELS, endpoint=False)
+AZIMUTHS_RAD.setflags(write=False)
+
+
 @lru_cache(maxsize=32)
-def gain_grid(
-    pattern: Pattern, n_panels: int = N_PANELS_DEFAULT
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Cached read-only (theta, linear gain) on the uniform n_panels azimuth grid."""
-    theta = np.linspace(0.0, TWO_PI, n_panels, endpoint=False)
-    gains = gain_linear_array(pattern, theta)
-    theta.setflags(write=False)
+def gain_grid(pattern: Pattern) -> Tuple[np.ndarray, np.ndarray]:
+    """Cached read-only (theta, linear gain) on ``AZIMUTHS_RAD``, the one azimuth grid."""
+    gains = gain_linear_array(pattern, AZIMUTHS_RAD)
     gains.setflags(write=False)
-    return theta, gains
+    return AZIMUTHS_RAD, gains
 
 
 def policy_profile(
@@ -562,12 +560,6 @@ def beta_scan_solves(beta_grid: Sequence[float] | None = None) -> int:
     return n_grid + 2 + GOLDEN_SECTION_STEPS + 1
 
 
-def profile_area_m2(profile: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Enclosed area of a polar contour, int d(theta)^2 / 2 dtheta."""
-    theta = np.linspace(0.0, TWO_PI, N_PANELS_DEFAULT, endpoint=False)
-    return periodic_rule(_profile_on_grid(profile, theta) ** 2) / 2.0
-
-
 def protected_area_m2(policy: SharingPolicy, pattern: Pattern) -> float:
     """Total keep-out area enclosed by the policy's contour."""
     if isinstance(policy, RadarBlindPolicy):
@@ -682,11 +674,11 @@ def sample_aggregate(
     smallest keep-out distance and thinned against the contour, which
     realises the annulus process exactly) and sums
     P_SU * G(theta) * l(r) / FDR over the points.  Gain and contour are
-    tabulated on ``PROFILE_TABLE_SIZE`` azimuth bins, piecewise constant
-    as the Campbell quadrature integrates them.  The bins that share the
-    modal (gain, contour) pair are sampled as one field with no azimuth
-    draw; the other bins as a second, independent field whose points draw
-    a bin and read its tables.
+    tabulated on ``gain_grid``'s panels, piecewise constant, so the field
+    sampled is the one the Campbell quadrature integrates.  The bins that
+    share the modal (gain, contour) pair are sampled as one field with no
+    azimuth draw; the other bins as a second, independent field whose
+    points draw a bin and read its tables.
 
     Raises ``WorkTooLarge`` before sampling when the
     expected drawn points or the bytes of the sums exceed the kernel's
@@ -708,8 +700,8 @@ def sample_aggregate(
         raise ValueError("n_samples must be at least 1")
     model = _require_power_law(model)
     alpha = model.alpha
-    theta_tab, gain_tab = gain_grid(pattern, PROFILE_TABLE_SIZE)
-    prof_tab = _profile_on_grid(profile, theta_tab)
+    theta, gain_tab = gain_grid(pattern)
+    prof_tab = _profile_on_grid(profile, theta)
     mean_full, _ = _campbell_moments(gain_tab, prof_tab, alpha)
     mean_kept, _ = _campbell_moments(gain_tab, prof_tab, alpha, outer_radius_m)
     tail_share = 1.0 - mean_kept / mean_full

@@ -158,12 +158,20 @@ def protection_distance(
     any finite range and gives INFINITE_DISTANCE at every azimuth, keeping
     azimuth sweeps total.
     """
+    return distance_at_gain(su, model, budget, gain_linear(pattern, theta_deg), fdr)
+
+
+def distance_at_gain(
+    su: SecondaryUser, model: PathLossModel, budget: InterferenceBudget,
+    gain: FloatOrArray, fdr: float,
+) -> FloatOrArray:
+    """``protection_distance`` toward a linear radar gain already evaluated."""
     _check_fdr(fdr)
     if budget.i_max_w == 0.0:
-        if np.ndim(theta_deg):
-            return np.full(np.shape(theta_deg), INFINITE_DISTANCE)
+        if np.ndim(gain):
+            return np.full(np.shape(gain), INFINITE_DISTANCE)
         return INFINITE_DISTANCE
-    target = fdr * budget.i_max_w / (su.eirp_w * gain_linear(pattern, theta_deg))
+    target = fdr * budget.i_max_w / (su.eirp_w * gain)
     return invert_attenuation(model, target)
 
 

@@ -80,7 +80,7 @@ class Target:
 
 @dataclass(frozen=True)
 class RocPoint:
-    """Operating point on the receiver operating characteristic."""
+    """Operating point on the receiver operating characteristic, in Albersheim's domain."""
 
     pd: float
     pfa: float
@@ -90,6 +90,7 @@ class RocPoint:
             raise ValueError(
                 f"ROC point requires 0 < pfa < pd < 1, got pd={self.pd}, pfa={self.pfa}"
             )
+        albersheim_snr_linear(self.pd, self.pfa)
 
 
 def noise_power_w(radar: RadarSystem) -> float:
@@ -156,7 +157,7 @@ def albersheim_snr_linear(pd: float, pfa: float) -> float:
     Accurate to a fraction of a dB for 0.1 <= P_D <= 0.9 and
     P_FA <= 1e-3 (Albersheim 1981; Tufts & Cann 1983).  P_FA above 0.62
     makes the leading term negative and the approximation meaningless,
-    so that domain is rejected.
+    so that domain is rejected, as is a P_D too low for a positive SNR.
     """
     if not 0.0 < pd < 1.0:
         raise ValueError("pd must lie in (0, 1)")
@@ -166,7 +167,10 @@ def albersheim_snr_linear(pd: float, pfa: float) -> float:
         raise ValueError("Albersheim relation requires pfa <= 0.62")
     a = math.log(0.62 / pfa)
     b = math.log(pd / (1.0 - pd))
-    return a + 0.12 * a * b + 1.7 * b
+    snr = a + 0.12 * a * b + 1.7 * b
+    if not snr > 0.0:
+        raise ValueError(f"Albersheim relation gives no positive SNR at pd={pd}, pfa={pfa}")
+    return snr
 
 
 def snr_required_albersheim(roc: RocPoint) -> float:

@@ -640,6 +640,18 @@ def test_pd_drop_sweep_outside_unit_interval_exits_3(tmp_path, capsys, drops):
     assert "sweeps.pd_drop: pd0 - drop =" in capsys.readouterr().err
 
 
+def test_pd_drop_below_albersheims_domain_exits_3(tmp_path, capsys):
+    # at pd 0.9 - 0.89 = 0.01 the Albersheim relation gives no positive SNR
+    def set_sweep(cfg):
+        cfg["sweeps"]["pd_drop"] = {"values": [0.1, 0.89]}
+
+    config = _variant(tmp_path, "type_b_radar", set_sweep)
+    rc = main(["imax", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert "sweeps.pd_drop: Albersheim relation gives no positive SNR" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "imax_sweep.csv").exists()
+
+
 def test_mc_backend_key_exits_3(tmp_path, capsys):
     def pick_backend(cfg):
         cfg["mc"]["backend"] = "numpy"

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from coexist.numerics import periodic_rule
 from coexist.propagation import (
     AntennaPattern,
     ConstantGain,
@@ -20,6 +21,7 @@ from coexist.propagation import (
     gain_linear_array,
 )
 from coexist.protection_multi import (
+    AZIMUTHS_RAD,
     CampbellStats,
     DeploymentField,
     MainSideLobePolicy,
@@ -32,7 +34,6 @@ from coexist.protection_multi import (
     optimize_beta,
     outage_probability,
     policy_profile,
-    profile_area_m2,
     protected_area_m2,
     rescale_to_constraint,
     sample_aggregate,
@@ -212,7 +213,9 @@ def test_campbell_rejects_scalar_profile():
     with pytest.raises(ValueError, match="shape"):
         campbell_stats(_field(), _su(), _pattern(), _model(), lambda theta: 2000.0, FDR)
     with pytest.raises(ValueError, match="shape"):
-        profile_area_m2(lambda theta: np.full(7, 2000.0))
+        campbell_stats(
+            _field(), _su(), _pattern(), _model(), lambda theta: np.full(7, 2000.0), FDR
+        )
 
 
 def test_outage_probability():
@@ -297,12 +300,10 @@ def test_protected_area_closed_forms():
     want = (25.0 * 0.15 + math.pi - 0.15) * 1e6
     assert_allclose(protected_area_m2(ms, pattern), want, rtol=1e-12)
     opt = OptimalPolicy(gamma=1e5, alpha=3.97)
-    # area of the gamma G^(1/alpha) contour equals its direct integral
-    assert_allclose(
-        protected_area_m2(opt, pattern),
-        profile_area_m2(policy_profile(opt, pattern)),
-        rtol=1e-12,
-    )
+    # area of the gamma G^(1/alpha) contour equals its direct integral,
+    # int d(theta)^2 / 2 on the azimuth grid
+    d = policy_profile(opt, pattern)(AZIMUTHS_RAD)
+    assert_allclose(protected_area_m2(opt, pattern), periodic_rule(d**2) / 2.0, rtol=1e-12)
 
 
 def test_rescale_to_constraint():
@@ -462,10 +463,10 @@ def test_sampler_split_matches_campbell():
     # contour, remainder not thinned; (b) the optimal contour, remainder
     # thinned.  40k samples: mean within 5 SE, variance within 5%
     from coexist import _mc_kernels
-    from coexist.protection_multi import PROFILE_TABLE_SIZE, gain_grid
+    from coexist.protection_multi import gain_grid
 
     field, su, pattern, model = _field(), _su(), _pattern(), _model()
-    theta, gains = gain_grid(pattern, PROFILE_TABLE_SIZE)
+    theta, gains = gain_grid(pattern)
     optimal = policy_profile(OptimalPolicy(gamma=500.0, alpha=model.alpha), pattern)
     for profile, thinned in ((_const_profile(2000.0), False), (optimal, True)):
         dnorm2 = (profile(theta) / 24e3) ** 2
@@ -478,6 +479,35 @@ def test_sampler_split_matches_campbell():
         se_mean = stats.std_w / math.sqrt(x.size)
         assert abs(x.mean() - stats.mean_w) < 5.0 * se_mean
         assert abs(x.var(ddof=1) / stats.variance_w2 - 1.0) < 0.05
+
+
+def test_sampler_reads_the_quadrature_grid(monkeypatch):
+    # the kernel samples the field the Campbell integrals integrate: its
+    # gain table is gain_grid's, and its contour table the profile on the
+    # same azimuths
+    from coexist import _mc_kernels
+    from coexist.config import load_scenario
+    from coexist.propagation import fdr_cochannel
+    from coexist.protection_multi import gain_grid
+
+    scenario = load_scenario("type_b_radar")
+    pattern, outer = scenario.pattern, scenario.mc["outer_radius_m"]
+    fdr = fdr_cochannel(scenario.su.bandwidth_hz, scenario.radar.if_bandwidth_hz)
+    theta, gains = gain_grid(pattern)
+    seen = []
+    monkeypatch.setattr(_mc_kernels, "sample_sums", lambda **kw: seen.append(kw))
+    for policy in (
+        RadarBlindPolicy(d_min_m=scenario.mc["profile"]["distance_m"]),
+        OptimalPolicy(gamma=500.0, alpha=scenario.pathloss.alpha),
+    ):
+        profile = policy_profile(policy, pattern)
+        sample_aggregate(
+            scenario.field, scenario.su, pattern, scenario.pathloss, fdr, profile,
+            outer, n_samples=10, seed=0,
+        )
+        tables = seen.pop()
+        assert np.array_equal(tables["gain_tab"], gains)
+        assert np.array_equal(tables["dnorm2_tab"], (profile(theta) / outer) ** 2)
 
 
 # sample_sums outputs of constant tables, recorded before the bulk/remainder

@@ -68,6 +68,8 @@ def test_albersheim_domain():
         albersheim_snr_linear(0.0, 1e-6)
     with pytest.raises(ValueError):
         albersheim_snr_linear(0.9, 0.0)
+    with pytest.raises(ValueError, match="no positive SNR"):
+        albersheim_snr_linear(0.01, 1e-6)  # 0.12*A*B + 1.7*B outweighs A
 
 
 def test_snr_required_albersheim_wraps_roc():
@@ -80,6 +82,8 @@ def test_roc_point_validation():
         RocPoint(pd=1.0, pfa=1e-6)
     with pytest.raises(ValueError):
         RocPoint(pd=0.5, pfa=0.6)  # pfa must stay below pd
+    with pytest.raises(ValueError, match="0.62"):
+        RocPoint(pd=0.9, pfa=0.7)  # outside Albersheim's domain
 
 
 def test_noise_power():

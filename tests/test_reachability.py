@@ -36,9 +36,6 @@ ALLOWED = {
         "the scalar reference that test_propagation.py and test_gain_properties.py "
         "check gain_linear_array's wrap against"
     ),
-    ("protection_multi", "profile_area_m2"): (
-        "the direct-integral reference for protected_area_m2's closed forms"
-    ),
 }
 
 DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
