@@ -8,8 +8,7 @@ JSON file is exactly what ``json.dumps(x, indent=2, sort_keys=True)``
 writes, with numpy scalars written as Python values and non-finite floats
 as the strings "nan", "inf" and "-inf"; ``_json_text`` writes it in one pass.
 
-Exit codes: 0 success, 2 config parse failure, 3 validation failure,
-4 missing scenario section, 5 computation failure.
+``main`` exits 0 on success, else with the ``EXIT_CODES`` entry of the error.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ from .numerics import (
 )
 from .propagation import (
     AntennaPattern,
+    ConstantGain,
     PowerLawPathLoss,
     TabulatedPathLoss,
     fdr_cochannel,
@@ -98,11 +98,8 @@ from .wifi_link import (
     wifi_sinr,
 )
 
-EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_VALIDATION = 3
-EXIT_MISSING_SECTION = 4
-EXIT_COMPUTATION = 5
+# a failed run's exit code: that of the first class its error is an instance of
+EXIT_CODES = ((ParseError, 2), (ValidationError, 3), (MissingSection, 4), (Exception, 5))
 
 POLICY_CHOICES = ("optimal", "radar-blind", "main-side-lobe", "single-user")
 
@@ -288,6 +285,10 @@ def _policy_config(scenario: Scenario, override: str | None) -> Dict[str, Any]:
 def _lobe_width_rad(scenario: Scenario, cfg: Dict[str, Any]) -> float:
     if "lobe_width_deg" in cfg:
         return math.radians(cfg["lobe_width_deg"])
+    if isinstance(scenario.pattern, ConstantGain):
+        raise ValidationError(
+            "policy.lobe_width_deg: a constant pattern has no main lobe to default it to"
+        )
     return default_lobe_width_rad(scenario.pattern)
 
 
@@ -738,14 +739,19 @@ def _cmd_fit_pathloss(
     }
 
 
-_COMMANDS: Dict[str, Callable[[Scenario, _OutputTracker, Any], Dict[str, Any]]] = {
-    "detect": _cmd_detect,
-    "imax": _cmd_imax,
-    "protect-single": _cmd_protect_single,
-    "protect-multi": _cmd_protect_multi,
-    "throughput": _cmd_throughput,
-    "validate-mc": _cmd_validate_mc,
-    "fit-pathloss": _cmd_fit_pathloss,
+# name: (handler, --help text, whether it takes --policy)
+_COMMANDS: Dict[str, tuple[Callable[..., Dict[str, Any]], str, bool]] = {
+    "detect": (_cmd_detect, "radar noise floor, SNR budgets, and detection ranges", False),
+    "imax": (_cmd_imax, "tolerable interference level and INR for a ROC degradation", False),
+    "protect-single": (
+        _cmd_protect_single, "azimuth profile of the single-interferer keep-out distance", False
+    ),
+    "protect-multi": (_cmd_protect_multi, "deployment-field protection contours and areas", True),
+    "throughput": (_cmd_throughput, "WiFi throughput under radar strobes and policy gating", True),
+    "validate-mc": (
+        _cmd_validate_mc, "Monte Carlo validation of the aggregate-interference model", False
+    ),
+    "fit-pathloss": (_cmd_fit_pathloss, "power-law fit of tabulated propagation data", False),
 }
 
 
@@ -766,33 +772,28 @@ def run_command(
     """
     if command not in _COMMANDS:
         raise ValidationError(f"unknown command {command!r}")
-    # overrides bypass the scenario file, so check them against its schema
-    for path, value in (("mc.seed", seed), ("mc.samples", samples)):
-        if value is not None:
-            check_field(path, value)
+    # overrides bypass the scenario file, so check each one given against its schema
+    fields = ("mc.seed", "mc.samples", "policy.type", "output.format")
+    overrides = {f: v for f, v in zip(fields, (seed, samples, policy, fmt)) if v is not None}
+    for path, value in overrides.items():
+        check_field(path, value)
+    fmt = overrides.setdefault("output.format", scenario.output_format)
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
-    fmt = fmt if fmt is not None else scenario.output_format
 
     # the echo shares the sections no override writes with scenario.raw;
     # a section an override writes is copied, so scenario.raw stays as loaded
     config_echo = dict(scenario.raw)
-    overrides = (
-        ("mc", "seed", seed),
-        ("mc", "samples", samples),
-        ("policy", "type", policy),
-        ("output", "format", fmt),
-    )
-    for section, key, value in overrides:
-        if value is not None:
-            config_echo[section] = {**config_echo.get(section, {}), key: value}
+    for path, value in overrides.items():
+        section, key = path.split(".")
+        config_echo[section] = {**config_echo.get(section, {}), key: value}
 
     resolved_seed = seed if seed is not None else scenario.mc.get("seed", 0)
     opts = SimpleNamespace(seed=seed, samples=samples, policy=policy)
 
     tracker = _OutputTracker(out_path, fmt)
     try:
-        results = _COMMANDS[command](scenario, tracker, opts)
+        results = _COMMANDS[command][0](scenario, tracker, opts)
         payload = {
             "command": command,
             "version": __version__,
@@ -817,16 +818,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Radar/WiFi spectrum-sharing coexistence studies",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "detect": "radar noise floor, SNR budgets, and detection ranges",
-        "imax": "tolerable interference level and INR for a ROC degradation",
-        "protect-single": "azimuth profile of the single-interferer keep-out distance",
-        "protect-multi": "deployment-field protection contours and areas",
-        "throughput": "WiFi throughput under radar strobes and policy gating",
-        "validate-mc": "Monte Carlo validation of the aggregate-interference model",
-        "fit-pathloss": "power-law fit of tabulated propagation data",
-    }
-    for name, help_text in helps.items():
+    for name, (_, help_text, takes_policy) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="scenario JSON path")
         p.add_argument("--out", required=True, help="output directory")
@@ -835,7 +827,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format", choices=["csv", "json"], dest="fmt", help="table format"
         )
-        if name in ("protect-multi", "throughput"):
+        if takes_policy:
             p.add_argument(
                 "--policy", choices=list(POLICY_CHOICES), help="override policy.type"
             )
@@ -845,16 +837,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        scenario = load_scenario(args.config)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
         run_command(
-            scenario,
+            load_scenario(args.config),
             args.command,
             args.out,
             fmt=args.fmt,
@@ -862,16 +846,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             samples=args.samples,
             policy=getattr(args, "policy", None),
         )
-    except MissingSection as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_SECTION
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTATION
-    return EXIT_OK
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
+    return 0
 
 
 if __name__ == "__main__":

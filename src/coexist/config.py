@@ -146,15 +146,17 @@ def fixture_path(name: str) -> Path:
 
 def _resolve_path(path: str | Path) -> Path:
     p = Path(path)
-    if p.exists():
-        return p
-    # fall back to bundled fixtures so `--config type_b_radar` works anywhere
     try:
+        if p.exists():
+            return p
+        # fall back to bundled fixtures so `--config type_b_radar` works anywhere
         candidate = fixture_path(str(path))
+        if candidate.exists():
+            return candidate
     except (FileNotFoundError, ModuleNotFoundError):
-        raise ParseError(f"config file not found: {path}")
-    if candidate.exists():
-        return candidate
+        pass
+    except OSError as exc:  # say, a name too long for the file system
+        raise ParseError(f"cannot read config file {path}: {exc.strerror}") from None
     raise ParseError(f"config file not found: {path}")
 
 
@@ -207,18 +209,21 @@ def _build_pathloss(cfg: Dict[str, Any], scenario_dir: Path) -> PathLossModel:
 def load_scenario(path: str | Path) -> Scenario:
     """Load, schema-validate, and build a scenario from a JSON config file.
 
-    Raises ParseError for unreadable/undecodable files and ValidationError
+    Raises ParseError for an unreadable or undecodable file, or JSON nested
+    deeper than ``json.loads`` can parse, and ValidationError
     (naming the offending field) for schema or invariant violations.
     """
     concrete = _resolve_path(path)
     try:
         text = concrete.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config file {concrete}: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer beyond Python's digit limit
         raise ParseError(f"config is not valid JSON ({concrete}): {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"config nests deeper than JSON can be read ({concrete})") from None
 
     err = _validator().first_error(raw)
     if err is not None:

@@ -262,15 +262,19 @@ def _campbell_moments(
     radial_mean = d ** (2.0 - alpha)
     radial_var = d ** (2.0 - 2.0 * alpha)
     if outer_radius_m is not None:
-        d_max = float(np.max(d))
-        if not outer_radius_m > d_max:
-            raise TruncationTooSevere(
-                f"outer radius {outer_radius_m} m must exceed the profile everywhere "
-                f"(it reaches {d_max} m)"
-            )
+        _check_outer_radius(d, outer_radius_m)
         radial_mean = radial_mean - outer_radius_m ** (2.0 - alpha)
         radial_var = radial_var - outer_radius_m ** (2.0 - 2.0 * alpha)
     return periodic_rule(gains * radial_mean), periodic_rule(gains**2 * radial_var)
+
+
+def _check_outer_radius(d: np.ndarray, outer_radius_m: float) -> None:
+    d_max = float(np.max(d))
+    if not outer_radius_m > d_max:
+        raise TruncationTooSevere(
+            f"outer radius {outer_radius_m} m must exceed the profile everywhere "
+            f"(it reaches {d_max} m)"
+        )
 
 
 def campbell_stats(
@@ -702,9 +706,10 @@ def sample_aggregate(
     alpha = model.alpha
     theta, gain_tab = gain_grid(pattern)
     prof_tab = _profile_on_grid(profile, theta)
+    _check_outer_radius(prof_tab, outer_radius_m)
+    # the mean beyond the radius is R^(2-alpha) * int G, whatever the contour
     mean_full, _ = _campbell_moments(gain_tab, prof_tab, alpha)
-    mean_kept, _ = _campbell_moments(gain_tab, prof_tab, alpha, outer_radius_m)
-    tail_share = 1.0 - mean_kept / mean_full
+    tail_share = outer_radius_m ** (2.0 - alpha) * _blind_moments(pattern)[0] / mean_full
     if tail_share > 0.01:
         raise TruncationTooSevere(
             f"outer radius {outer_radius_m} m leaves {tail_share:.2%} "

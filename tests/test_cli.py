@@ -9,6 +9,7 @@ library-level tests; the CLI must reproduce them exactly.
 import copy
 import filecmp
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,7 +22,14 @@ from numpy.testing import assert_allclose
 import coexist
 from coexist import _mc_kernels, cli
 from coexist.cli import main, run_command
-from coexist.config import ValidationError, fixture_path, load_scenario, resolve_grid
+from coexist.config import (
+    MissingSection,
+    ParseError,
+    ValidationError,
+    fixture_path,
+    load_scenario,
+    resolve_grid,
+)
 
 
 def _variant(tmp_path, base, mutate, name="scenario.json"):
@@ -371,18 +379,36 @@ def test_unknown_format_rejected_by_argparse(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def _assert_parse_error(config, tmp_path, capsys):
+    """``config`` exits 2 with one error line, and load_scenario raises ParseError."""
+    out = tmp_path / "o"
+    assert main(["detect", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err[:200]
+    assert not out.exists()
+    with pytest.raises(ParseError):
+        load_scenario(config)
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
-    rc = main(["detect", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error:")
+    # a name too long for the file system raised OSError from Path.exists()
+    for config in (tmp_path / "nope.json", "x" * 5000):
+        _assert_parse_error(config, tmp_path, capsys)
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"radar": ')
-    rc = main(["detect", "--config", str(bad), "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    contents = [
+        b'{"radar": ',
+        # these exited 1 with a traceback: RecursionError, ValueError (an int
+        # past Python's digit limit) and UnicodeDecodeError
+        b"[" * 200_000 + b"]" * 200_000,
+        b'{"mc": {"seed": ' + b"1" * 5000 + b"}}",
+        b'{"radar": "\xff"}',
+    ]
+    for i, content in enumerate(contents):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_bytes(content)
+        _assert_parse_error(bad, tmp_path, capsys)
 
 
 def test_schema_violation_exits_3(tmp_path, capsys):
@@ -423,14 +449,38 @@ def test_cli_import_does_not_load_scipy():
 @pytest.mark.parametrize(
     "flag, value, field",
     [("--samples", "0", "mc.samples"), ("--samples", "-3", "mc.samples"),
-     ("--seed", "-1", "mc.seed")],
+     ("--seed", "-1", "mc.seed"),
+     # argparse's choices refuse these two, so only a library caller can pass them
+     ("--format", "xml", "output.format"), ("--policy", "bogus", "policy.type")],
 )
 def test_override_outside_schema_exits_3(tmp_path, capsys, flag, value, field):
     out = tmp_path / "o"
-    rc = main(["validate-mc", "--config", "type_b_radar", flag, value, "--out", str(out)])
-    assert rc == 3
-    assert f"error: {field}:" in capsys.readouterr().err
-    assert not out.exists()
+    option = {"--samples": "samples", "--seed": "seed", "--format": "fmt", "--policy": "policy"}
+    if flag in ("--samples", "--seed"):
+        rc = main(["validate-mc", "--config", "type_b_radar", flag, value, "--out", str(out)])
+        assert rc == 3
+        assert f"error: {field}:" in capsys.readouterr().err
+        assert not out.exists()
+        value = int(value)
+    scenario = load_scenario("type_b_radar")
+    for command in ("detect", "protect-single", "validate-mc"):
+        with pytest.raises(ValidationError, match=f"^{field}: "):
+            run_command(scenario, command, out, **{option[flag]: value})
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "error, rc",
+    [(ParseError, 2), (ValidationError, 3), (MissingSection, 4), (RuntimeError, 5),
+     (RecursionError, 5)],
+)
+def test_exit_code_is_the_first_matching_entry(tmp_path, capsys, monkeypatch, error, rc):
+    def fail(scenario, tracker, opts):
+        raise error("handler failed")
+
+    monkeypatch.setitem(cli._COMMANDS, "detect", (fail, "", False))
+    assert main(["detect", "--config", "type_b_radar", "--out", str(tmp_path / "o")]) == rc
+    assert capsys.readouterr().err == "error: handler failed\n"
 
 
 def _refuse_to_sample(*args, **kwargs):
@@ -706,6 +756,23 @@ def test_single_user_policy_rejected_for_field_study(tmp_path, capsys):
     )
     assert rc == 3
     assert "single-user" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, base", [("protect-multi", "type_b_radar"),
+                                           ("throughput", "wifi_sharing")])
+def test_main_side_lobe_on_a_constant_pattern_needs_a_lobe_width(tmp_path, capsys, command, base):
+    # the default width is the pattern's main lobe; without a width this exited 5 unnamed
+    for width, rc in (({}, 3), ({"lobe_width_deg": 10.0}, 0)):
+        def constant(cfg):
+            cfg["antenna_pattern"] = {"constant_gain_dbi": 0.0}
+            cfg["field"] = {"density_per_m2": 1e-6, "activity_prob": 1.0, "outage_max": 0.1}
+            cfg["policy"] = {"type": "main-side-lobe", **width}
+
+        config = _variant(tmp_path, base, constant)
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == rc
+    assert capsys.readouterr().err == (
+        "error: policy.lobe_width_deg: a constant pattern has no main lobe to default it to\n"
+    )
 
 
 def test_failed_run_removes_partial_outputs(tmp_path, capsys, monkeypatch):
@@ -1097,6 +1164,25 @@ def test_fields_at_their_physical_bounds_run(tmp_path, command, edits):
     config = _variant(tmp_path, "type_b_radar", mutate)
     argv = [command, "--config", str(config), "--out", str(tmp_path / "o")]
     assert main([*argv, "--samples", "50"] if command == "validate-mc" else argv) == 0
+
+
+def test_su_gain_bound_keeps_the_sinr_finite(tmp_path, capsys):
+    # near the old 3000 dB maximum the radar's power at the SU overflowed and
+    # throughput wrote -inf dB SINR
+    def gain(value):
+        return _variant(
+            tmp_path, "wifi_sharing", lambda cfg: _set(cfg, ("su", "antenna_gain_dbi"), value)
+        )
+
+    out = tmp_path / "o"
+    assert main(["throughput", "--config", str(gain(40.0)), "--out", str(out)]) == 0
+    _, rows = _csv_rows(out / "throughput_trace.csv")
+    assert all(math.isfinite(float(row[2])) for row in rows)
+    above = gain(math.nextafter(40.0, math.inf))
+    assert main(["throughput", "--config", str(above), "--out", str(tmp_path / "o2")]) == 3
+    assert capsys.readouterr().err.startswith(
+        "error: su.antenna_gain_dbi: 40.00000000000001 is greater than the maximum of 40"
+    )
 
 
 @pytest.mark.parametrize("alpha", [2.0001, 2.01, 2.02, 2.05])

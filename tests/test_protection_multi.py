@@ -6,6 +6,7 @@ the same integrals (values agree to ~1e-4, limited by the fixed 4096-panel
 azimuth grid) and then frozen at the library's own output for regression.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -455,6 +456,14 @@ def test_sampler_rejects_severe_truncation():
             field, _su(), iso, model, 1.0, _const_profile(1000.0), 1100.0,
             n_samples=100, seed=0,
         )
+    # the share left out is (d/R)^(alpha-2): 1% at R = 1000 m * 100^(1/4)
+    cap = 1000.0 * 100.0**0.25
+    for radius, refused in ((cap * (1 - 1e-9), True), (cap * (1 + 1e-9), False)):
+        with pytest.raises(TruncationTooSevere) if refused else contextlib.nullcontext():
+            sample_aggregate(
+                field, _su(), iso, model, 1.0, _const_profile(1000.0), radius,
+                n_samples=10, seed=0,
+            )
 
 
 def test_sampler_split_matches_campbell():
