@@ -5,6 +5,12 @@ Writes ``BENCH_<label>.json`` at the repository root with:
 
 - ``import_s``: wall time of ``import coexist.cli`` in a fresh interpreter
   (min and median over ``--repeat`` processes);
+- ``setup_s``: per bundled fixture, the same for ``import coexist.cli`` plus
+  ``load_scenario``, unscaled; the benchmark's ``setup_s`` times this pair;
+- ``fresh_commands_s``: per subcommand and fixture, the wall time and exit
+  code of ``python -m coexist.cli`` in a fresh process, as a user runs it
+  (interpreter start, imports, compiling ``src`` where no bytecode is cached,
+  the run and its writes);
 - ``load_scenario_s``: per bundled fixture, the first load in the worker
   (the first fixture's also reads and compiles the schema) and the min and median of repeated
   loads;
@@ -38,12 +44,12 @@ Every in-process measurement runs in a spawned worker that imports
 worker of its own, and ``BENCH_<baseline-label>.json`` is written too.  The
 two trees alternate per measurement and per repeat (the one that goes first
 alternates as well), so drift in the host's speed falls on both alike.  Each
-interleaved measurement (``import_s``, ``commands_s``,
-``protect_multi_policies_s``, ``write_s`` and their JSON twins) then also
-records ``wins`` (per writer too): in how
-many of the repeats that tree took less time than the other, ties counting
-for neither.  A median alone moves by 10% between runs of the same code, so
-the wins say whether a move is real:
+interleaved measurement (``import_s``, ``setup_s``, ``fresh_commands_s``,
+``commands_s``, ``protect_multi_policies_s``, ``write_s`` and their JSON
+twins) then also records ``wins`` (per writer too): in how many of the
+repeats that tree took less time than the other, ties counting for neither.
+A median alone moves by 10% between runs of the same code, so the wins say
+whether a move is real:
 
     python scripts/bench.py --label after
     python scripts/bench.py --label after \
@@ -97,6 +103,11 @@ KERNEL_SEED = 0
 MAX_Z = 5.0  # Campbell check: standard errors the sample moments may miss by
 _IMPORT = (
     "import time; t = time.perf_counter(); import coexist.cli; "
+    "print(time.perf_counter() - t)"
+)
+_SETUP = (
+    "import sys, time; t = time.perf_counter(); import coexist.cli; "
+    "from coexist.config import load_scenario; load_scenario(sys.argv[1]); "
     "print(time.perf_counter() - t)"
 )
 
@@ -165,19 +176,33 @@ def _alternate(trees, repeat, run):
     return results
 
 
-def _import_time(src):
+def _fresh(src, args, check=True):
+    """``python args`` in a fresh interpreter whose ``coexist`` is the one in ``src``."""
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return float(subprocess.run(
-        [sys.executable, "-c", _IMPORT],
+    return subprocess.run(
+        [sys.executable, *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
-        check=True,
-    ).stdout)
+        check=check,
+    )
 
 
 def time_import(trees, repeat):
-    return _summaries(_alternate(trees, repeat, lambda tree: _import_time(tree.src)))
+    return _summaries(
+        _alternate(trees, repeat, lambda tree: float(_fresh(tree.src, ["-c", _IMPORT]).stdout))
+    )
+
+
+def time_setup(trees, repeat):
+    result = {tree.label: {} for tree in trees}
+    for name in FIXTURES:
+        runs = _alternate(
+            trees, repeat, lambda tree: float(_fresh(tree.src, ["-c", _SETUP, name]).stdout)
+        )
+        for label, summary in _summaries(runs).items():
+            result[label][name] = summary
+    return result
 
 
 def _load_times(name, repeat):
@@ -223,16 +248,28 @@ def _run_main(argv, clocked):
     return code, sum(per_writer.values()) if clocked else elapsed, per_writer
 
 
-def time_runs(trees, argvs, repeat, clocked=False):
+def _run_fresh(src, argv):
+    """Exit code, wall seconds and (no) writer seconds of ``python -m coexist.cli argv``."""
+    with tempfile.TemporaryDirectory() as out:
+        t0 = time.perf_counter()
+        code = _fresh(src, ["-m", "coexist.cli", *argv, "--out", out], check=False).returncode
+        return code, time.perf_counter() - t0, {}
+
+
+def time_runs(trees, argvs, repeat, clocked=False, fresh=False):
     """Per tree label and key of ``argvs``: exit code and time summary of its runs.
 
     With ``clocked``, each writer's own summary sits under its name as well.
+    With ``fresh``, each run is a new ``python -m coexist.cli`` process.
     """
+    def run(tree, argv):
+        if fresh:
+            return _run_fresh(tree.src, argv)
+        return tree.pool.apply(_run_main, (argv, clocked))
+
     result = {tree.label: {} for tree in trees}
     for key, argv in argvs.items():
-        runs = _alternate(
-            trees, repeat, lambda tree: tree.pool.apply(_run_main, (argv, clocked))
-        )
+        runs = _alternate(trees, repeat, lambda tree: run(tree, argv))
         times = {label: [t for _, t, _ in triples] for label, triples in runs.items()}
         for label, summary in _summaries(times).items():
             (code,) = {code for code, _, _ in runs[label]}
@@ -415,6 +452,8 @@ def main(argv=None):
         }
         measured = {
             "import_s": time_import(trees, args.repeat),
+            "setup_s": time_setup(trees, args.repeat),
+            "fresh_commands_s": time_runs(trees, commands, args.repeat, fresh=True),
             "load_scenario_s": time_loads(trees, max(args.repeat, 50)),
             "commands_s": time_runs(trees, commands, args.repeat),
             "protect_multi_policies_s": time_runs(trees, policies, args.repeat),

@@ -17,7 +17,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Sequence
@@ -538,7 +537,7 @@ def _cmd_protect_multi(
         solved = [
             _solve_policy(
                 scenario,
-                replace(field, density_per_m2=density),
+                field.replace(density_per_m2=density),
                 cfg,
                 budget.i_max_w,
                 fdr,

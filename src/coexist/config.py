@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field
 from importlib import resources
 from pathlib import Path
 from typing import Any, Dict, Optional
@@ -25,7 +24,7 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from ._schema import Validator, compile_schema, integer_paths
-from .numerics import db_to_linear
+from .numerics import Record, db_to_linear
 from .propagation import (
     AntennaPattern,
     ConstantGain,
@@ -57,8 +56,7 @@ class MissingSection(ValueError):
     """Scenario lacks a section the requested command needs."""
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A validated scenario: raw config echo plus constructed domain objects."""
 
     raw: Dict[str, Any]
@@ -69,10 +67,10 @@ class Scenario:
     detection: Optional[Dict[str, Any]] = None
     target: Optional[Dict[str, float]] = None
     field: Optional[DeploymentField] = None
-    policy: Dict[str, Any] = dataclass_field(default_factory=dict)
-    wifi: Dict[str, Any] = dataclass_field(default_factory=dict)
-    mc: Dict[str, Any] = dataclass_field(default_factory=dict)
-    sweeps: Dict[str, Any] = dataclass_field(default_factory=dict)
+    policy: Dict[str, Any] = {}
+    wifi: Dict[str, Any] = {}
+    mc: Dict[str, Any] = {}
+    sweeps: Dict[str, Any] = {}
     output_format: str = "csv"
 
     def require(self, section: str) -> Any:

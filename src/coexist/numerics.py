@@ -1,6 +1,7 @@
 """Shared deterministic numerics: Gaussian tails, root finding, quadrature.
 
-Small, dependency-light building blocks used across the analysis modules.
+Small, dependency-light building blocks used across the analysis modules,
+among them ``Record``, the frozen base of every parameter and result record.
 The Gaussian tail pair comes from the standard library (``math.erfc``,
 ``statistics.NormalDist``).  ``solve_root`` is plain bisection, deterministic
 to the last bit.  The contour scale of the field policies is a Newton solve
@@ -10,16 +11,97 @@ its steps do not settle; the tests use it as an independent reference.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from statistics import NormalDist
-from typing import Callable, Iterable, Sequence, Tuple
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Sequence, Tuple
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-_STANDARD_NORMAL = NormalDist()
+
+class FrozenInstanceError(AttributeError):
+    """Assignment to, or deletion of, a field of a frozen ``Record``."""
+
+
+class Record:
+    """Frozen record: a frozen dataclass's behaviour without generated code.
+
+    A subclass's fields are its annotated names, in order; a class value is
+    that field's default (a dict default is copied per instance).  Records
+    are built by keyword or position, then checked by ``__post_init__``;
+    they compare equal when of the same class with equal fields, hash by
+    their fields, print as ``Name(field=value, ...)`` and refuse assignment.
+    """
+
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._blank = dict.fromkeys(fields)
+        cls._defaults = {n: cls.__dict__[n] for n in fields if n in cls.__dict__}
+        # the field values, compared and hashed (a bare value for one field)
+        cls._key = attrgetter(*fields)
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        # one dict store, not one per field; the blank's keys fix the field
+        # order and are the interned names attribute reads look up by identity
+        values = {**self._blank, **kwargs}
+        if args or len(kwargs) != len(values) or len(values) != len(self._fields):
+            values = self._bind(args, kwargs)
+        object.__setattr__(self, "__dict__", values)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> dict:
+        """The fields, in order, of a call that passes some by position or omits some."""
+        name, fields = cls.__name__, cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments, got {len(args)}")
+        given = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in cls._blank:
+                raise TypeError(f"{name}() got an unexpected keyword argument '{key}'")
+            if key in given:
+                raise TypeError(f"{name}() got multiple values for argument '{key}'")
+            given[key] = value
+        values = {}
+        for key in fields:
+            if key in given:
+                values[key] = given[key]
+            elif key in cls._defaults:
+                default = cls._defaults[key]
+                values[key] = dict(default) if isinstance(default, dict) else default
+            else:
+                raise TypeError(f"{name}() missing required argument '{key}'")
+        return values
+
+    def __post_init__(self) -> None:
+        """Check the fields; a subclass raises ValueError naming a bad one."""
+
+    def replace(self, **changes: Any) -> Any:
+        """A record of the same class with ``changes`` applied, checked anew."""
+        return type(self)(**{**vars(self), **changes})
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({values})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class NoSignChange(ValueError):
@@ -48,7 +130,14 @@ def q_inverse(p: float) -> float:
     """Inverse of :func:`q_tail` for scalar probabilities in (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"q_inverse requires 0 < p < 1, got {p}")
-    return -_STANDARD_NORMAL.inv_cdf(p)
+    return -_standard_normal().inv_cdf(p)
+
+
+@functools.cache
+def _standard_normal():
+    from statistics import NormalDist  # with decimal and fractions, ~3 ms to import
+
+    return NormalDist()
 
 
 def db_to_linear(value_db: float) -> float:
@@ -63,8 +152,7 @@ def linear_to_db(value: float) -> float:
     return 10.0 * math.log10(value)
 
 
-@dataclass(frozen=True)
-class RootBracket:
+class RootBracket(Record):
     """Search interval and stopping rule for :func:`solve_root`.
 
     tol_rel is relative to the magnitude of the bracket endpoints, so the

@@ -9,15 +9,13 @@ ITU-R reference patterns for fixed radiolocation antennas.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
-from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .numerics import db_to_linear
+from .numerics import Record, db_to_linear
 
 INFINITE_REJECTION = float("inf")
 """Sentinel returned by fdr_general when the victim filter passes nothing."""
@@ -25,8 +23,7 @@ INFINITE_REJECTION = float("inf")
 FDR_GRID_POINTS = 65537  # uniform frequency grid of fdr_general's trapezoid sums
 
 
-@dataclass(frozen=True)
-class PowerLawPathLoss:
+class PowerLawPathLoss(Record):
     """Attenuation l(r) = k0 * r**(-alpha), r in metres.
 
     alpha must exceed 2: the aggregate-interference integrals over a plane
@@ -45,8 +42,7 @@ class PowerLawPathLoss:
             )
 
 
-@dataclass(frozen=True)
-class TabulatedPathLoss:
+class TabulatedPathLoss(Record):
     """Attenuation sampled at increasing distances, interpolated log-log.
 
     Outside the table the model extrapolates with the power law fitted to
@@ -75,6 +71,8 @@ class TabulatedPathLoss:
         Every non-blank row must hold exactly two cells; a stray third
         column is refused, naming its line.
         """
+        import csv  # only a table file needs it
+
         distances = []
         attens = []
         with open(path, newline="") as fh:
@@ -161,8 +159,7 @@ def invert_attenuation(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AntennaPattern:
+class AntennaPattern(Record):
     """Statistical azimuth gain envelope for high-gain rotating antennas.
 
     Valid for peak gains between 22 and 48 dBi.  The pattern is even in
@@ -202,8 +199,7 @@ class AntennaPattern:
         return 48.0
 
 
-@dataclass(frozen=True)
-class ConstantGain:
+class ConstantGain(Record):
     """Degenerate isotropic pattern; useful as an analytic reference."""
 
     gain_dbi: float

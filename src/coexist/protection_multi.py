@@ -20,7 +20,6 @@ design equations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence, Tuple, Union
 
@@ -28,6 +27,7 @@ import numpy as np
 
 from .numerics import (
     TWO_PI,
+    Record,
     RootBracket,
     periodic_rule,
     q_inverse,
@@ -67,8 +67,7 @@ class OptimalityViolation(AssertionError):
     """A constraint-restored perturbation beat the supposedly optimal contour."""
 
 
-@dataclass(frozen=True)
-class DeploymentField:
+class DeploymentField(Record):
     """Poisson deployment: density, activity, and the outage cap."""
 
     density_per_m2: float
@@ -89,8 +88,7 @@ class DeploymentField:
         return self.density_per_m2 * self.activity_prob
 
 
-@dataclass(frozen=True)
-class CampbellStats:
+class CampbellStats(Record):
     """First two moments of the aggregate interference."""
 
     mean_w: float
@@ -101,8 +99,7 @@ class CampbellStats:
         return math.sqrt(self.variance_w2)
 
 
-@dataclass(frozen=True)
-class OptimalPolicy:
+class OptimalPolicy(Record):
     """Full-knowledge contour d(theta) = gamma * G(theta)**(1/alpha)."""
 
     gamma: float
@@ -115,8 +112,7 @@ class OptimalPolicy:
             raise ValueError("alpha must exceed 2")
 
 
-@dataclass(frozen=True)
-class RadarBlindPolicy:
+class RadarBlindPolicy(Record):
     """No-knowledge contour: one constant keep-out distance."""
 
     d_min_m: float
@@ -126,8 +122,7 @@ class RadarBlindPolicy:
             raise ValueError("d_min_m must be positive")
 
 
-@dataclass(frozen=True)
-class MainSideLobePolicy:
+class MainSideLobePolicy(Record):
     """Two-ring contour: d_max across the main lobe, d_min elsewhere."""
 
     d_min_m: float
@@ -596,8 +591,7 @@ def rescale_to_constraint(
     return _constraint(field, su, model, fdr, i_max_w)(m1, m2)
 
 
-@dataclass(frozen=True)
-class OptimalityReport:
+class OptimalityReport(Record):
     """Outcome of the random-perturbation optimality check."""
 
     n_trials: int

@@ -14,12 +14,11 @@ co-channel transmitter or ``fdr_general`` for an offset one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .numerics import linear_to_db
+from .numerics import Record, linear_to_db
 from .propagation import (
     FloatOrArray,
     PathLossModel,
@@ -35,8 +34,7 @@ INFINITE_DISTANCE = float("inf")
 """Sentinel protection distance when no interference at all is tolerable."""
 
 
-@dataclass(frozen=True)
-class SecondaryUser:
+class SecondaryUser(Record):
     """Co-channel secondary transmitter (EIRP convention).
 
     ``eirp_w`` already contains the transmit antenna gain;
@@ -55,8 +53,7 @@ class SecondaryUser:
             raise ValueError("bandwidth_hz must be positive")
 
 
-@dataclass(frozen=True)
-class InterferenceBudget:
+class InterferenceBudget(Record):
     """Outcome of the SNR-margin-to-interference conversion."""
 
     i_max_w: float

@@ -5,7 +5,7 @@ SNR with noncoherent integration folded in) and Albersheim's empirical
 single-pulse detection requirement (see Richards, "Fundamentals of Radar
 Signal Processing", ch. 6; Skolnik, "Introduction to Radar Systems").
 
-Conventions: gains and losses are stored in dB on the dataclasses (the way
+Conventions: gains and losses are stored in dB on the records (the way
 datasheets quote them) and converted to linear exactly once inside each
 formula; SNR values cross the API as linear ratios unless a name carries a
 ``_db`` suffix.
@@ -14,9 +14,7 @@ formula; SNR values cross the API as linear ratios unless a name carries a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-from .numerics import db_to_linear
+from .numerics import Record, db_to_linear
 
 BOLTZMANN_J_PER_K = 1.380649e-23  # exact, 2019 SI
 SPEED_OF_LIGHT_M_S = 299792458.0
@@ -24,8 +22,7 @@ SPEED_OF_LIGHT_M_S = 299792458.0
 FOUR_PI = 4.0 * math.pi
 
 
-@dataclass(frozen=True)
-class RadarSystem:
+class RadarSystem(Record):
     """Parameter set of a rotating pulsed surveillance radar.
 
     The bundled fixture follows the terminal-area ATC radar family of
@@ -64,8 +61,7 @@ class RadarSystem:
             raise ValueError("duty cycle pulse_width_s * prf_hz must stay below 1")
 
 
-@dataclass(frozen=True)
-class Target:
+class Target(Record):
     """Point target: slant range and radar cross section."""
 
     range_m: float
@@ -78,8 +74,7 @@ class Target:
             raise ValueError("rcs_m2 must be positive")
 
 
-@dataclass(frozen=True)
-class RocPoint:
+class RocPoint(Record):
     """Operating point on the receiver operating characteristic, in Albersheim's domain."""
 
     pd: float

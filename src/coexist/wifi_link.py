@@ -12,12 +12,11 @@ the pulse-train average (peak times duty cycle PW*f_R).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .numerics import db_to_linear, linear_to_db
+from .numerics import Record, db_to_linear, linear_to_db
 from .propagation import Pattern, PathLossModel, attenuation, gain_linear, gain_linear_array
 from .protection_single import SecondaryUser
 from .protection_multi import (
@@ -41,8 +40,7 @@ class McsEntry(NamedTuple):
     min_snr_db: float
 
 
-@dataclass(frozen=True)
-class McsTable:
+class McsTable(Record):
     """Rate ladder: lowest SNR that sustains each modulation-and-coding step."""
 
     entries: Tuple[McsEntry, ...]
@@ -72,8 +70,7 @@ DEFAULT_80211N = McsTable(
 """Single-stream 802.11n rates over 20 MHz with the 10% PER thresholds."""
 
 
-@dataclass(frozen=True)
-class WifiLink:
+class WifiLink(Record):
     """One WiFi AP-station link sharing the band with the radar.
 
     ``su.eirp_w`` is the full EIRP (transmit antenna gain already folded

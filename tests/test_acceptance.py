@@ -11,7 +11,6 @@ secondaries over a 2.8 GHz power-law propagation fit.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -72,7 +71,7 @@ RADAR = RadarSystem(
 )
 # same radar transmitting 1 us pulses on an 896 us repetition interval,
 # the waveform used for the WiFi-side interference studies
-RADAR_896 = replace(RADAR, prf_hz=1.0 / 896e-6, pulse_width_s=1e-6)
+RADAR_896 = RADAR.replace(prf_hz=1.0 / 896e-6, pulse_width_s=1e-6)
 
 SU = SecondaryUser(
     eirp_w=1.0,
@@ -385,7 +384,7 @@ def test_criterion_10_density_scaling_law():
     densities = np.geomspace(1e-7, 1e-3, 9)
     d_mins = [
         solve_radar_blind(
-            replace(FIELD, density_per_m2=float(pl)), SU, PATTERN, MODEL, FDR,
+            FIELD.replace(density_per_m2=float(pl)), SU, PATTERN, MODEL, FDR,
             BUDGET.i_max_w,
         ).d_min_m
         for pl in densities

@@ -11,6 +11,7 @@ import filecmp
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -435,15 +436,47 @@ def test_non_finite_number_exits_3(tmp_path, capsys, value):
     assert "field.density_per_m2" in capsys.readouterr().err
 
 
-def test_cli_import_does_not_load_scipy():
+def _fresh_interpreter(code):
+    """Stdout of ``code`` run by a fresh interpreter that imports this checkout's coexist."""
     src = str(Path(coexist.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, coexist.cli; print('scipy' in sys.modules, 'numba' in sys.modules)"
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "False False"
+    ).stdout
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, coexist.cli; print('scipy' in sys.modules, 'numba' in sys.modules)"
+    assert _fresh_interpreter(code).strip() == "False False"
+
+
+LEAN_IMPORT = """
+import json, sys
+import coexist.cli
+from coexist.config import load_scenario
+load_scenario("type_b_radar")
+load_scenario("wifi_sharing")
+classes = {
+    f"{value.__module__}.{value.__name__}": hasattr(value, "__dataclass_fields__")
+    for name, module in list(sys.modules.items())
+    if name.startswith("coexist")
+    for value in vars(module).values()
+    if isinstance(value, type) and value.__module__.startswith("coexist")
+}
+print(json.dumps({"modules": sorted(sys.modules), "classes": classes}))
+"""
+
+
+def test_import_and_load_pull_in_no_unneeded_module():
+    # the stdlib modules that only one function needs are imported inside it
+    # (statistics in q_inverse, csv in TabulatedPathLoss.from_csv), and the
+    # records are not dataclasses, so none of these is loaded to run a command
+    loaded = json.loads(_fresh_interpreter(LEAN_IMPORT))
+    unneeded = ("dataclasses", "statistics", "decimal", "fractions", "copy", "csv")
+    assert [name for name in unneeded if name in loaded["modules"]] == []
+    assert "coexist.config.Scenario" in loaded["classes"]
+    assert [name for name, generated in loaded["classes"].items() if generated] == []
 
 
 @pytest.mark.parametrize(
@@ -1183,6 +1216,63 @@ def test_su_gain_bound_keeps_the_sinr_finite(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "error: su.antenna_gain_dbi: 40.00000000000001 is greater than the maximum of 40"
     )
+
+
+# the fixture runs that exit 0, each reading the radar or the target
+FINITE_RUNS = [
+    ("detect", "type_b_radar"),
+    ("imax", "type_b_radar"),
+    ("protect-single", "type_b_radar"),
+    ("protect-multi", "type_b_radar"),
+    ("validate-mc", "type_b_radar"),
+    ("imax", "wifi_sharing"),
+    ("protect-single", "wifi_sharing"),
+    ("throughput", "wifi_sharing"),
+]
+NON_FINITE = re.compile(r"(?<![\w.])-?(inf|nan)(?!\w)")
+
+
+@pytest.mark.parametrize(
+    "path, bound, beyond",
+    [
+        # each computed infinities with exit 0 at 1e+-300 before it had a bound
+        (("radar", "tx_power_w"), 1e8, "greater than the maximum of 100000000.0"),
+        (("radar", "frequency_hz"), 1e6, "less than the minimum of 1000000.0"),
+        (("radar", "frequency_hz"), 3e12, "greater than the maximum of 3000000000000.0"),
+        (("radar", "wavelength_m"), 1e-4, "less than the minimum of 0.0001"),
+        (("radar", "wavelength_m"), 300.0, "greater than the maximum of 300"),
+        (("radar", "scan_time_s"), 3600.0, "greater than the maximum of 3600"),
+        (("radar", "ambient_temp_k"), 1e4, "greater than the maximum of 10000.0"),
+        (("target", "rcs_m2"), 1e6, "greater than the maximum of 1000000.0"),
+    ],
+)
+def test_radar_fields_stay_finite_up_to_their_physical_bounds(
+    tmp_path, capsys, path, bound, beyond
+):
+    def at(value):
+        def mutate(cfg):
+            if path[-1] == "wavelength_m":
+                del cfg["radar"]["frequency_hz"]
+            _set(cfg, path, value)
+
+        return mutate
+
+    for command, base in FINITE_RUNS:
+        if path[0] not in json.loads(fixture_path(base).read_text()):
+            continue
+        config = _variant(tmp_path, base, at(bound))
+        out = tmp_path / f"{command}-{base}"
+        argv = [command, "--config", str(config), "--out", str(out)]
+        assert main([*argv, "--samples", "50"] if command == "validate-mc" else argv) == 0
+        for written in out.iterdir():
+            assert not NON_FINITE.search(written.read_text()), (command, base, written.name)
+
+    outside = math.nextafter(bound, math.inf if "greater" in beyond else -math.inf)
+    config = _variant(tmp_path, "type_b_radar", at(outside))
+    assert main(["detect", "--config", str(config), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {'.'.join(path)}: {outside!r} is ")
+    assert beyond in err
 
 
 @pytest.mark.parametrize("alpha", [2.0001, 2.01, 2.02, 2.05])

@@ -11,7 +11,6 @@
 """
 
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -99,7 +98,7 @@ def test_campbell_moments_scale_in_closed_form(
     )
     scaled = campbell_stats(
         DeploymentField(field.density_per_m2 * density_f, p2, 0.1),
-        replace(SU, eirp_w=SU.eirp_w * eirp_f),
+        SU.replace(eirp_w=SU.eirp_w * eirp_f),
         PATTERN,
         PowerLawPathLoss(k0=model.k0 * k0_f, alpha=alpha),
         policy_profile(RadarBlindPolicy(d * d_f), PATTERN),
