@@ -11,9 +11,13 @@ Writes ``BENCH_<label>.json`` at the repository root with:
   code of ``python -m coexist.cli`` in a fresh process, as a user runs it
   (interpreter start, imports, compiling ``src`` where no bytecode is cached,
   the run and its writes);
-- ``load_scenario_s``: per bundled fixture, the first load in the worker
-  (the first fixture's also reads and compiles the schema) and the min and median of repeated
-  loads;
+- ``load_scenario_s``: per bundled fixture, loaded by its file path (not
+  by name, whose lookup in the package's resources would dominate), the
+  first load in a fresh worker (it also reads and compiles the schema) and
+  the min and median of ``LOAD_CALLS`` x ``--repeat`` (at least 50) more,
+  spread over fresh workers, and of their three stages: ``read_parse``
+  (resolving, reading and ``json.loads``), ``schema`` (the compiled check
+  of the parsed document) and ``build`` (the rest: the records);
 - ``commands_s``: per subcommand and fixture, the in-process time of
   ``coexist.cli.main`` (load, run, write into a temporary directory) and its
   exit code; a command that needs a section the fixture lacks exits 4;
@@ -38,12 +42,15 @@ Writes ``BENCH_<label>.json`` at the repository root with:
 The script exits 1 if a kernel workload misses its Campbell moments by
 5 standard errors or more; the record is written either way.
 
-Every in-process measurement runs in a spawned worker that imports
+Every in-process measurement runs in spawned workers that import
 ``coexist`` from ``--src`` (this checkout's ``src`` by default).  With
-``--baseline`` a second checkout's ``src`` is timed in the same run, in a
-worker of its own, and ``BENCH_<baseline-label>.json`` is written too.  The
+``--baseline`` a second checkout's ``src`` is timed in the same run, in
+workers of its own, and ``BENCH_<baseline-label>.json`` is written too.  The
 two trees alternate per measurement and per repeat (the one that goes first
-alternates as well), so drift in the host's speed falls on both alike.  Each
+alternates as well), so drift in the host's speed falls on both alike.  A
+process can run a few percent fast or slow for its whole life (where its
+memory landed, say), so each tree's repeats are spread over fresh workers,
+``WORKER_REPEATS`` repeats to a worker, each warmed by one untimed run.  Each
 interleaved measurement (``import_s``, ``setup_s``, ``fresh_commands_s``,
 ``commands_s``, ``protect_multi_policies_s``, ``write_s`` and their JSON
 twins) then also records ``wins`` (per writer too): in how many of the
@@ -54,6 +61,9 @@ whether a move is real:
     python scripts/bench.py --label after
     python scripts/bench.py --label after \
         --baseline /path/to/other/src --baseline-label before
+
+A run with ``--baseline`` set to the same ``src`` as ``--src`` (an A/A run)
+shows the noise: how far the medians and wins of identical trees stray.
 """
 
 import argparse
@@ -71,7 +81,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, NamedTuple
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,6 +111,8 @@ TABLE_RUNS = (
 KERNEL_WORKLOADS = ("directional", "dense")
 KERNEL_SAMPLES = 20_000
 KERNEL_SEED = 0
+WORKER_REPEATS = 3  # in-process repeats per fresh worker
+LOAD_CALLS = 6  # calls of _load_stages per tree and fixture, WORKER_REPEATS to a worker
 MAX_Z = 5.0  # Campbell check: standard errors the sample moments may miss by
 _IMPORT = (
     "import time; t = time.perf_counter(); import coexist.cli; "
@@ -133,11 +146,10 @@ def _summaries(runs):
 
 
 class Tree(NamedTuple):
-    """A checkout's ``src`` directory and the spawned worker that imports from it."""
+    """A checkout's label and ``src`` directory."""
 
     label: str
     src: str
-    pool: Any
 
 
 def _prepend_path(src):
@@ -176,6 +188,28 @@ def _alternate(trees, repeat, run):
     return results
 
 
+def _alternate_in_workers(trees, repeat, task, args):
+    """Per tree label, ``repeat`` results of ``task(*args)`` in fresh spawned workers.
+
+    Each tree gets a new worker every ``WORKER_REPEATS`` repeats, warmed by
+    one untimed call; the trees take turns in spawning and in each repeat.
+    """
+    results = {tree.label: [] for tree in trees}
+    for start in range(0, repeat, WORKER_REPEATS):
+        pools = {}
+        try:
+            for tree in _in_turn(trees, start // WORKER_REPEATS):
+                pools[tree.label] = _spawn(tree.src)
+                pools[tree.label].apply(task, args)
+            for i in range(start, min(start + WORKER_REPEATS, repeat)):
+                for tree in _in_turn(trees, i):
+                    results[tree.label].append(pools[tree.label].apply(task, args))
+        finally:
+            for pool in pools.values():
+                pool.terminate()
+    return results
+
+
 def _fresh(src, args, check=True):
     """``python args`` in a fresh interpreter whose ``coexist`` is the one in ``src``."""
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -205,26 +239,72 @@ def time_setup(trees, repeat):
     return result
 
 
-def _load_times(name, repeat):
-    from coexist.config import load_scenario
+def _first_load(name):
+    """Seconds of the first load of fixture ``name``'s file in this process."""
+    from coexist import config
 
+    path = config.fixture_path(name)
     t0 = time.perf_counter()
-    load_scenario(name)
-    first = time.perf_counter() - t0
-    times = []
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        load_scenario(name)
-        times.append(time.perf_counter() - t0)
-    return {"first": first, **_summary(times)}
+    config.load_scenario(path)
+    return time.perf_counter() - t0
+
+
+def _load_stages(name, repeat):
+    """Per stage, the seconds of ``repeat`` loads of fixture ``name``'s file.
+
+    The stages are marked inside each real load: ``json.loads`` and the
+    compiled validator's ``first_error`` are wrapped by a clock, and
+    restored after.
+    """
+    from coexist import config
+
+    path = config.fixture_path(name)
+    marks = {}
+
+    def marked(key, function):
+        def wrapper(*args, **kwargs):
+            try:
+                return function(*args, **kwargs)
+            finally:
+                marks[key] = time.perf_counter()
+
+        return wrapper
+
+    checker = SimpleNamespace(first_error=marked("checked", config._validator().first_error))
+    stages = {"total": [], "read_parse": [], "schema": [], "build": []}
+    real_loads, real_validator = json.loads, config._validator
+    json.loads = marked("parsed", json.loads)
+    config._validator = lambda path="": real_validator(path) if path else checker
+    try:
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            config.load_scenario(path)
+            t1 = time.perf_counter()
+            stages["total"].append(t1 - t0)
+            stages["read_parse"].append(marks["parsed"] - t0)
+            stages["schema"].append(marks["checked"] - marks["parsed"])
+            stages["build"].append(t1 - marks["checked"])
+    finally:
+        json.loads, config._validator = real_loads, real_validator
+    return stages
 
 
 def time_loads(trees, repeat):
-    # the first load in a worker also reads and compiles the schema
+    """Per tree and fixture: the first load, and the stages of ``LOAD_CALLS`` x ``repeat`` more."""
     result = {tree.label: {} for tree in trees}
     for i, name in enumerate(FIXTURES):
-        for tree in _in_turn(trees, i):
-            result[tree.label][name] = tree.pool.apply(_load_times, (name, repeat))
+        first = {}
+        for tree in _in_turn(trees, i):  # a fresh worker's first load compiles the schema
+            pool = _spawn(tree.src)
+            try:
+                first[tree.label] = pool.apply(_first_load, (name,))
+            finally:
+                pool.terminate()
+        runs = _alternate_in_workers(trees, LOAD_CALLS, _load_stages, (name, repeat))
+        for label, calls in runs.items():
+            stages = {stage: [t for call in calls for t in call[stage]] for stage in calls[0]}
+            split = {stage: _summary(times) for stage, times in stages.items() if stage != "total"}
+            result[label][name] = {"first": first[label], **_summary(stages["total"]), **split}
     return result
 
 
@@ -262,14 +342,12 @@ def time_runs(trees, argvs, repeat, clocked=False, fresh=False):
     With ``clocked``, each writer's own summary sits under its name as well.
     With ``fresh``, each run is a new ``python -m coexist.cli`` process.
     """
-    def run(tree, argv):
-        if fresh:
-            return _run_fresh(tree.src, argv)
-        return tree.pool.apply(_run_main, (argv, clocked))
-
     result = {tree.label: {} for tree in trees}
     for key, argv in argvs.items():
-        runs = _alternate(trees, repeat, lambda tree: run(tree, argv))
+        if fresh:
+            runs = _alternate(trees, repeat, lambda tree: _run_fresh(tree.src, argv))
+        else:
+            runs = _alternate_in_workers(trees, repeat, _run_main, (argv, clocked))
         times = {label: [t for _, t, _ in triples] for label, triples in runs.items()}
         for label, summary in _summaries(times).items():
             (code,) = {code for code, _, _ in runs[label]}
@@ -438,32 +516,26 @@ def main(argv=None):
         }
         for label in sides
     }
-    trees = []
-    try:
-        for label, src in sides.items():
-            trees.append(Tree(label, src, _spawn(src)))
-        commands = {f"{c}/{n}": [c, "--config", n] for c in COMMANDS for n in FIXTURES}
-        policies = {
-            p: ["protect-multi", "--config", "type_b_radar", "--policy", p]
-            for p in FIELD_POLICIES
-        }
-        json_runs = {
-            f"{c}/{n}": [c, "--config", n, "--format", "json"] for c, n in TABLE_RUNS
-        }
-        measured = {
-            "import_s": time_import(trees, args.repeat),
-            "setup_s": time_setup(trees, args.repeat),
-            "fresh_commands_s": time_runs(trees, commands, args.repeat, fresh=True),
-            "load_scenario_s": time_loads(trees, max(args.repeat, 50)),
-            "commands_s": time_runs(trees, commands, args.repeat),
-            "protect_multi_policies_s": time_runs(trees, policies, args.repeat),
-            "write_s": time_runs(trees, commands, args.repeat, clocked=True),
-            "commands_json_s": time_runs(trees, json_runs, args.repeat),
-            "write_json_s": time_runs(trees, json_runs, args.repeat, clocked=True),
-        }
-    finally:
-        for tree in trees:
-            tree.pool.terminate()
+    trees = [Tree(label, src) for label, src in sides.items()]
+    commands = {f"{c}/{n}": [c, "--config", n] for c in COMMANDS for n in FIXTURES}
+    policies = {
+        p: ["protect-multi", "--config", "type_b_radar", "--policy", p]
+        for p in FIELD_POLICIES
+    }
+    json_runs = {
+        f"{c}/{n}": [c, "--config", n, "--format", "json"] for c, n in TABLE_RUNS
+    }
+    measured = {
+        "import_s": time_import(trees, args.repeat),
+        "setup_s": time_setup(trees, args.repeat),
+        "fresh_commands_s": time_runs(trees, commands, args.repeat, fresh=True),
+        "load_scenario_s": time_loads(trees, max(args.repeat, 50)),
+        "commands_s": time_runs(trees, commands, args.repeat),
+        "protect_multi_policies_s": time_runs(trees, policies, args.repeat),
+        "write_s": time_runs(trees, commands, args.repeat, clocked=True),
+        "commands_json_s": time_runs(trees, json_runs, args.repeat),
+        "write_json_s": time_runs(trees, json_runs, args.repeat, clocked=True),
+    }
     measured["kernel"] = time_kernel(trees, args.repeat)
 
     status = 0

@@ -72,6 +72,45 @@ _BOUNDS = {
 }
 
 
+def _numeric_leaf(node: Dict[str, Any]) -> Optional[Predicate]:
+    """One predicate for a node of bounds and at most a numeric ``type``, else None.
+
+    It accepts what the keywords' predicates accept together.  Each bound is
+    made inclusive (for floats by ``nextafter``, for ints by rounding); the
+    float range's ends stand in for a missing one, refusing NaN and +-inf.
+    """
+    kind, bounds = node.get("type"), node.keys() & _BOUNDS.keys()
+    if not bounds or kind not in (None, "number", "integer") or (
+        node.keys() - _ANNOTATIONS - bounds - {"type"}
+        or any(float(node[k]) != node[k] for k in bounds)  # an int bound no float holds
+    ):
+        return None
+    big, integral = sys.float_info.max, kind == "integer"
+    flo, fhi, ilo, ihi = -big, big, -_INT_LIMIT, _INT_LIMIT
+    for keyword in bounds:
+        f = float(node[keyword])
+        if keyword == "minimum":
+            flo, ilo = max(flo, f), max(ilo, math.ceil(f))
+        elif keyword == "exclusiveMinimum":
+            flo, ilo = max(flo, math.nextafter(f, math.inf)), max(ilo, math.floor(f) + 1)
+        elif keyword == "maximum":
+            fhi, ihi = min(fhi, f), min(ihi, math.floor(f))
+        else:
+            fhi, ihi = min(fhi, math.nextafter(f, -math.inf)), min(ihi, math.ceil(f) - 1)
+
+    def is_valid(x: Any) -> bool:
+        cls = x.__class__
+        if cls is float:  # a non-finite float is no number, so bounds skip it
+            if integral and not x.is_integer():
+                return False
+            return flo <= x <= fhi or (kind is None and not -big <= x <= big)
+        if cls is int:  # an int beyond the float range is no number either
+            return ilo <= x <= ihi or (kind != "number" and not -_INT_LIMIT <= x <= _INT_LIMIT)
+        return kind is None
+
+    return is_valid
+
+
 class Validator:
     """A compiled schema node: ``is_valid`` and ``first_error``."""
 
@@ -119,9 +158,10 @@ def compile_schema(schema: Dict[str, Any], root: Optional[Dict[str, Any]] = None
         preds = tuple(p for p, _ in checks)
         gens = tuple(g for _, g in checks)
 
-        if len(preds) == 1:
+        is_valid = _numeric_leaf(node)
+        if is_valid is None and len(preds) == 1:
             is_valid = preds[0]
-        else:
+        elif is_valid is None:
             def is_valid(x: Any) -> bool:
                 for pred in preds:
                     if not pred(x):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -207,6 +208,19 @@ def _column_text(column: Sequence[Any], float_text: Callable, cell_text: Callabl
     return map(cell_text, column)
 
 
+def _rows_text(cells: List[Any], n_rows: int, sep: str, row_end: str, last_end: str) -> str:
+    """Each row's cells joined by ``sep`` and ended by ``row_end`` (the last by ``last_end``)."""
+    width = 2 * len(cells)
+    parts = [sep] * (width * n_rows)  # one join: no string per row
+    if not parts:
+        return ""
+    for j, column in enumerate(cells):
+        parts[2 * j :: width] = column
+    parts[width - 1 :: width] = [row_end] * n_rows
+    parts[-1] = last_end
+    return "".join(parts)
+
+
 class _OutputTracker:
     """Writes artifacts and removes everything it wrote if the run fails."""
 
@@ -223,27 +237,35 @@ class _OutputTracker:
             raise ValueError(f"table {name}: {len(columns)} columns, {len(data)} given")
         if len(set(map(len, data))) > 1:
             raise ValueError(f"table {name}: columns differ in length")
+        n_rows = len(data[0]) if data else 0
         if self.fmt == "json":
             path = self.out_dir / f"{name}.json"
             # _json_text's layout, each row's cells joined as text at depth 3
             cell = "\n      "
             cells = [_column_text(c, _json_float, lambda v: _json_text(v, cell)) for c in data]
-            rows = [f"[{cell}{(',' + cell).join(row)}\n    ]" for row in zip(*cells)]
-            rows_text = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+            rows = _rows_text(cells, n_rows, "," + cell, "\n    ],\n    [" + cell, "\n    ]")
+            rows_text = f"[\n    [{cell}{rows}\n  ]" if rows else "[]"
             columns_text = _json_text(list(columns), "\n  ")
             text = f'{{\n  "columns": {columns_text},\n  "rows": {rows_text}\n}}\n'
         else:
             path = self.out_dir / f"{name}.csv"
             cells = [_column_text(c, float.__repr__, _format_cell) for c in data]
-            text = "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
-        path.write_text(text)
-        self.written.append(path)
-        return path
+            text = ",".join(columns) + "\n" + _rows_text(cells, n_rows, ",", "\n", "\n")
+        return self._write(path, text)
 
     def summary(self, payload: Dict[str, Any]) -> Path:
-        path = self.out_dir / "summary.json"
-        path.write_text(_json_text(payload) + "\n")
-        self.written.append(path)
+        return self._write(self.out_dir / "summary.json", _json_text(payload) + "\n")
+
+    def _write(self, path: Path, text: str) -> Path:
+        """``path.write_text(text)`` as UTF-8, by ``os.write`` until every byte is written."""
+        data = memoryview(text.encode())
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        self.written.append(path)  # cleanup removes it from here on, cut short or not
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         return path
 
     def cleanup(self) -> None:
@@ -778,7 +800,8 @@ def run_command(
         check_field(path, value)
     fmt = overrides.setdefault("output.format", scenario.output_format)
     out_path = Path(out_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
+    if not out_path.is_dir():
+        out_path.mkdir(parents=True, exist_ok=True)
 
     # the echo shares the sections no override writes with scenario.raw;
     # a section an override writes is copied, so scenario.raw stays as loaded

@@ -213,9 +213,11 @@ def load_scenario(path: str | Path) -> Scenario:
     """
     concrete = _resolve_path(path)
     try:
-        text = concrete.read_text()
+        text = concrete.read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config file {concrete}: {exc}") from exc
+    if "\r" in text:  # newlines as text mode reads them: JSON error positions count the same
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         raw = json.loads(text)
     except ValueError as exc:  # also an integer beyond Python's digit limit
@@ -318,5 +320,7 @@ def resolve_grid(
     if spec.get("spacing", "linear") == "log":
         if not start > 0:
             raise ValidationError(f"{name}: log spacing requires start > 0")
-        return [float(v) for v in np.geomspace(start, stop, count)]
-    return [float(v) for v in np.linspace(start, stop, count)]
+        # np.geomspace's arithmetic for a positive start, bit for bit, without its overhead
+        logs = np.linspace(np.log10(float(start)), np.log10(float(stop)), count)
+        return [float(start), *np.power(10.0, logs[1:-1]).tolist(), float(stop)][:count]
+    return np.linspace(start, stop, count).tolist()

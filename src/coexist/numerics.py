@@ -217,7 +217,7 @@ def periodic_rule(values: np.ndarray) -> float:
 
     The trapezoid rule on this wrapped grid; every azimuth integral uses it.
     """
-    return float(np.sum(values)) * (TWO_PI / np.size(values))
+    return float(values.sum()) * (TWO_PI / values.size)
 
 
 def fit_power_law(

@@ -253,9 +253,11 @@ def _campbell_moments(
     """(int G d^(2-alpha), int G^2 d^(2-2*alpha)) for gains and contour d on one grid.
 
     With ``outer_radius_m`` set, the radial integrals stop at that radius.
+    A constant contour takes each power once, by the same elementwise power.
     """
-    radial_mean = d ** (2.0 - alpha)
-    radial_var = d ** (2.0 - 2.0 * alpha)
+    base = d[:1] if d.min() == d.max() else d
+    radial_mean = base ** (2.0 - alpha)
+    radial_var = base ** (2.0 - 2.0 * alpha)
     if outer_radius_m is not None:
         _check_outer_radius(d, outer_radius_m)
         radial_mean = radial_mean - outer_radius_m ** (2.0 - alpha)

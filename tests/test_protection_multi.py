@@ -30,8 +30,10 @@ from coexist.protection_multi import (
     OptimalityViolation,
     RadarBlindPolicy,
     TruncationTooSevere,
+    _campbell_moments,
     campbell_stats,
     default_lobe_width_rad,
+    gain_grid,
     optimize_beta,
     outage_probability,
     policy_profile,
@@ -576,3 +578,21 @@ def test_sampler_constant_tables_stream_is_pinned():
         seed=7,
     )
     assert [float(s).hex() for s in small] == _SMALL_SUMS
+
+
+@pytest.mark.parametrize("gmax", [None, 33.5])
+@pytest.mark.parametrize("outer", [None, 5e4])
+def test_constant_contour_moments_are_the_full_arrays_bit_for_bit(gmax, outer):
+    # a constant contour takes each power once; the moments must be those of
+    # the elementwise powers over the whole grid, to the bit
+    pattern = ConstantGain(gain_dbi=0.0) if gmax is None else AntennaPattern(gmax_dbi=gmax)
+    _, gains = gain_grid(pattern)
+    rng = np.random.default_rng(7)
+    for d0, alpha in zip(10.0 ** rng.uniform(0.0, 4.5, 200), rng.uniform(2.0001, 10.0, 200)):
+        d = np.full(gains.shape, d0)
+        radial_mean, radial_var = d ** (2.0 - alpha), d ** (2.0 - 2.0 * alpha)
+        if outer is not None:
+            radial_mean = radial_mean - outer ** (2.0 - alpha)
+            radial_var = radial_var - outer ** (2.0 - 2.0 * alpha)
+        expected = (periodic_rule(gains * radial_mean), periodic_rule(gains**2 * radial_var))
+        assert _campbell_moments(gains, d, alpha, outer) == expected

@@ -24,7 +24,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import coexist  # noqa: E402
-from coexist import config  # noqa: E402
+from coexist import _schema, config  # noqa: E402
 from coexist._schema import SchemaError, compile_schema, integer_paths  # noqa: E402
 from coexist.config import ValidationError, check_field, fixture_path, load_scenario  # noqa: E402
 from test_config import MINIMAL  # noqa: E402
@@ -372,3 +372,71 @@ def test_integer_paths_of_the_scenario_schema():
                                   {"properties": {"k": {"type": "integer"}}}]}},
     }
     assert integer_paths(schema) == [("a", "k")]
+
+
+def _numeric_leaves(node, path=()):
+    """(dotted path, node) of every schema node compiled to one fused predicate."""
+    if isinstance(node, dict):
+        if _schema._numeric_leaf(node) is not None:
+            yield ".".join(map(str, path)) or "<root>", node
+        for key, value in node.items():
+            yield from _numeric_leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _numeric_leaves(value, path + (index,))
+
+
+# bound forms the scenario schema leaves out: both lower bounds at once,
+# exclusive bounds on integers, non-integral bounds, a bound on an integer
+# beyond 2**53 and bounds at the ends of the float range
+SYNTHETIC_LEAVES = [
+    {"type": "number", "minimum": 1, "exclusiveMinimum": 1},
+    {"type": "number", "minimum": 2.5, "exclusiveMinimum": 1, "exclusiveMaximum": 3},
+    {"type": "integer", "exclusiveMinimum": 2.5, "maximum": 7.5},
+    {"type": "integer", "minimum": -3, "exclusiveMaximum": 2**60},
+    {"type": "number", "exclusiveMinimum": 1e16},
+    {"exclusiveMinimum": -1.7976931348623157e308, "maximum": 1.7976931348623157e308},
+    {"minimum": 0.0, "exclusiveMaximum": 5e-324},
+]
+LEAVES = list(_numeric_leaves(SCHEMA)) + [(f"synthetic{i}", n) for i, n in enumerate(SYNTHETIC_LEAVES)]
+
+
+def _edge_values(node):
+    """Each bound and its neighbours (1 ulp, and 1 for integral bounds) and the specials."""
+    values = [0, 0.0, -0.0, math.nan, math.inf, -math.inf, True, False, 2**1024, -(2**1024),
+              None, "1", 1.5, 3]
+    for keyword in _schema._BOUNDS:
+        if keyword in node:
+            bound = float(node[keyword])
+            values += [bound, math.nextafter(bound, math.inf), math.nextafter(bound, -math.inf)]
+            if bound.is_integer():
+                values += [int(bound) + step for step in (-1, 0, 1)]
+                values += [float(int(bound) + step) for step in (-1, 1)]
+    return values
+
+
+def test_numeric_leaves_are_fused():
+    # every numeric field of the scenario with a bound, and the synthetic forms
+    assert len(LEAVES) >= 40
+    for _, node in LEAVES:
+        assert _schema._numeric_leaf(node) is not None
+
+
+@pytest.mark.parametrize("node", [n for _, n in LEAVES], ids=[p for p, _ in LEAVES])
+def test_fused_leaf_agrees_with_jsonschema_at_its_edges(node):
+    compiled, oracle = compile_schema(node), Oracle(node)
+    for value in _edge_values(node):
+        assert_agrees(value, compiled, oracle)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    leaf=st.sampled_from([n for _, n in LEAVES]),
+    value=st.one_of(
+        st.floats(), st.integers(), st.integers(-(2**1100), 2**1100), st.booleans(),
+        st.floats().filter(math.isfinite).map(lambda x: float(round(x))),
+    ),
+)
+def test_fused_leaf_agrees_with_jsonschema(leaf, value):
+    assert_agrees(value, compile_schema(leaf), Oracle(leaf))
+

@@ -289,3 +289,72 @@ def test_azimuth_grid_is_read_only():
     with pytest.raises(ValueError, match="read-only"):
         cli.AZIMUTH_GRID_DEG[0] = 0.0
     assert cli.AZIMUTH_GRID_DEG[0] == -180.0
+
+
+def _files(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+# every subcommand that runs on a bundled fixture (the others exit 4 before
+# writing), with its tables in both formats
+WRITING_RUNS = [
+    (command, fixture, fmt)
+    for command, fixture in [
+        ("detect", "type_b_radar"), ("imax", "type_b_radar"),
+        ("protect-single", "type_b_radar"), ("protect-single", "wifi_sharing"),
+        ("protect-multi", "type_b_radar"), ("throughput", "wifi_sharing"),
+        ("validate-mc", "type_b_radar"),
+    ]
+    for fmt in ("csv", "json")
+]
+
+
+@pytest.mark.parametrize("command, fixture, fmt", WRITING_RUNS)
+def test_short_writes_still_write_every_byte(tmp_path, monkeypatch, command, fixture, fmt):
+    # os.write may write fewer bytes than it was given; the writer must go on
+    scenario = load_scenario(fixture)
+    samples = 50 if command == "validate-mc" else None
+    cli.run_command(scenario, command, tmp_path / "whole", fmt=fmt, samples=samples)
+    real_write, calls = cli.os.write, []
+
+    def one_byte(fd, data):
+        calls.append(fd)
+        return real_write(fd, bytes(data[:1]))
+
+    monkeypatch.setattr(cli.os, "write", one_byte)
+    cli.run_command(scenario, command, tmp_path / "short", fmt=fmt, samples=samples)
+    monkeypatch.undo()
+    expected = _files(tmp_path / "whole")
+    assert _files(tmp_path / "short") == expected
+    assert len(calls) == sum(map(len, expected.values()))
+
+
+def test_a_handler_failing_after_its_table_leaves_no_file(tmp_path, monkeypatch):
+    handler, *rest = cli._COMMANDS["protect-single"]
+
+    def fails_after_writing(scenario, tracker, opts):
+        handler(scenario, tracker, opts)
+        assert [path.name for path in tracker.written] == ["protect_single.csv"]
+        raise RuntimeError("failed after the table was written")
+
+    monkeypatch.setitem(cli._COMMANDS, "protect-single", (fails_after_writing, *rest))
+    with pytest.raises(RuntimeError, match="after the table"):
+        cli.run_command(load_scenario("type_b_radar"), "protect-single", tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_write_failing_part_way_leaves_no_file(tmp_path, monkeypatch):
+    # the file a failed write cut short is removed with the rest
+    real_write, calls = cli.os.write, []
+
+    def fails_on_second_call(fd, data):
+        calls.append(fd)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        return real_write(fd, bytes(data[:100]))
+
+    monkeypatch.setattr(cli.os, "write", fails_on_second_call)
+    with pytest.raises(OSError, match="No space left"):
+        cli.run_command(load_scenario("type_b_radar"), "protect-single", tmp_path)
+    assert len(calls) == 2
+    assert list(tmp_path.iterdir()) == []
