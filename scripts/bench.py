@@ -11,25 +11,28 @@ Writes ``BENCH_<label>.json`` at the repository root with:
   code of ``python -m coexist.cli`` in a fresh process, as a user runs it
   (interpreter start, imports, compiling ``src`` where no bytecode is cached,
   the run and its writes);
-- ``load_scenario_s``: per bundled fixture, loaded by its file path (not
-  by name, whose lookup in the package's resources would dominate), the
+- ``load_scenario_s``: per bundled fixture, loaded by its file path, the
   first load in a fresh worker (it also reads and compiles the schema) and
   the min and median of ``LOAD_CALLS`` x ``--repeat`` (at least 50) more,
   spread over fresh workers, and of their three stages: ``read_parse``
   (resolving, reading and ``json.loads``), ``schema`` (the compiled check
   of the parsed document) and ``build`` (the rest: the records);
 - ``commands_s``: per subcommand and fixture, the in-process time of
-  ``coexist.cli.main`` (load, run, write into a temporary directory) and its
-  exit code; a command that needs a section the fixture lacks exits 4;
+  ``load_scenario`` on the fixture's file plus ``run_command`` into a
+  temporary directory, the op the benchmark times (``coexist.cli.main``
+  would add building its argument parser, about as long again as a whole
+  ``protect-single``), and the exit code ``main`` would return, from
+  ``coexist.cli.EXIT_CODES``; a command that needs a section the fixture
+  lacks exits 4;
 - ``protect_multi_policies_s``: the same for ``protect-multi`` on
-  ``type_b_radar`` under each field policy (``--policy``), since the policies
-  solve very different numbers of contour scales;
+  ``type_b_radar`` under each field policy (``run_command``'s ``policy``),
+  since the policies solve very different numbers of contour scales;
 - ``write_s``: per subcommand and fixture, the time spent inside the CLI's
   output writers, measured in separate runs in which only
   ``_OutputTracker.table`` and ``.summary`` are wrapped by a clock: their
   sum, and under ``table`` and ``summary`` each one's own time;
 - ``commands_json_s`` and ``write_json_s``: the same as ``commands_s`` and
-  ``write_s`` with ``--format json``, for the subcommands and fixtures that
+  ``write_s`` with ``fmt="json"``, for the subcommands and fixtures that
   write a table (``TABLE_RUNS``);
 - ``kernel``: per Monte Carlo workload (a sparse field under the directional
   pattern, about 1.8k drawn points per sample, and a dense isotropic field,
@@ -69,7 +72,6 @@ shows the noise: how far the medians and wins of identical trees stray.
 import argparse
 import contextlib
 import functools
-import io
 import json
 import math
 import multiprocessing
@@ -143,6 +145,22 @@ def _summaries(runs):
                 all(t < o[i] for o in others) for i, t in enumerate(times)
             )
     return result
+
+
+class Run(NamedTuple):
+    """A subcommand on a bundled fixture, with ``run_command`` keyword options."""
+
+    command: str
+    fixture: str
+    options: tuple = ()  # (keyword, value) pairs, say (("policy", "optimal"),)
+
+    def argv(self):
+        """The same run as ``python -m coexist.cli`` arguments, less ``--out``."""
+        flags = {"fmt": "--format", "policy": "--policy"}
+        return [
+            self.command, "--config", self.fixture,
+            *(arg for key, value in self.options for arg in (flags[key], value)),
+        ]
 
 
 class Tree(NamedTuple):
@@ -308,46 +326,53 @@ def time_loads(trees, repeat):
     return result
 
 
-def _run_main(argv, clocked):
-    """Exit code, seconds and writer seconds of one ``coexist.cli.main(argv + --out <tmp>)`` run.
+def _run_in_process(run, clocked):
+    """Exit code, seconds and writer seconds of one ``load_scenario`` + ``run_command`` run.
 
+    The run loads its fixture's file and writes into a new temporary
+    directory; its exit code is the one ``coexist.cli.main`` would return.
     With ``clocked``, the seconds are those spent inside the output writers,
     and the writer seconds split them by writer name; otherwise the writer
     seconds are empty.
     """
-    from coexist.cli import main
+    from coexist import cli, config
 
+    path = config.fixture_path(run.fixture)
     with contextlib.ExitStack() as stack:
         out = stack.enter_context(tempfile.TemporaryDirectory())
         spent = stack.enter_context(_clocked_writers()) if clocked else {}
-        stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
         t0 = time.perf_counter()
-        code = main([*argv, "--out", out])
+        try:
+            cli.run_command(config.load_scenario(path), run.command, out, **dict(run.options))
+            code = 0
+        except Exception as exc:
+            code = next(rc for kind, rc in cli.EXIT_CODES if isinstance(exc, kind))
         elapsed = time.perf_counter() - t0
     per_writer = {name: sum(times) for name, times in spent.items()}
     return code, sum(per_writer.values()) if clocked else elapsed, per_writer
 
 
-def _run_fresh(src, argv):
-    """Exit code, wall seconds and (no) writer seconds of ``python -m coexist.cli argv``."""
+def _run_fresh(src, run):
+    """Exit code, wall seconds and (no) writer seconds of ``run`` as ``python -m coexist.cli``."""
     with tempfile.TemporaryDirectory() as out:
         t0 = time.perf_counter()
-        code = _fresh(src, ["-m", "coexist.cli", *argv, "--out", out], check=False).returncode
+        argv = ["-m", "coexist.cli", *run.argv(), "--out", out]
+        code = _fresh(src, argv, check=False).returncode
         return code, time.perf_counter() - t0, {}
 
 
-def time_runs(trees, argvs, repeat, clocked=False, fresh=False):
-    """Per tree label and key of ``argvs``: exit code and time summary of its runs.
+def time_runs(trees, named_runs, repeat, clocked=False, fresh=False):
+    """Per tree label and key of ``named_runs``: exit code and time summary of its ``Run``.
 
     With ``clocked``, each writer's own summary sits under its name as well.
     With ``fresh``, each run is a new ``python -m coexist.cli`` process.
     """
     result = {tree.label: {} for tree in trees}
-    for key, argv in argvs.items():
+    for key, run in named_runs.items():
         if fresh:
-            runs = _alternate(trees, repeat, lambda tree: _run_fresh(tree.src, argv))
+            runs = _alternate(trees, repeat, lambda tree: _run_fresh(tree.src, run))
         else:
-            runs = _alternate_in_workers(trees, repeat, _run_main, (argv, clocked))
+            runs = _alternate_in_workers(trees, repeat, _run_in_process, (run, clocked))
         times = {label: [t for _, t, _ in triples] for label, triples in runs.items()}
         for label, summary in _summaries(times).items():
             (code,) = {code for code, _, _ in runs[label]}
@@ -517,14 +542,11 @@ def main(argv=None):
         for label in sides
     }
     trees = [Tree(label, src) for label, src in sides.items()]
-    commands = {f"{c}/{n}": [c, "--config", n] for c in COMMANDS for n in FIXTURES}
+    commands = {f"{c}/{n}": Run(c, n) for c in COMMANDS for n in FIXTURES}
     policies = {
-        p: ["protect-multi", "--config", "type_b_radar", "--policy", p]
-        for p in FIELD_POLICIES
+        p: Run("protect-multi", "type_b_radar", (("policy", p),)) for p in FIELD_POLICIES
     }
-    json_runs = {
-        f"{c}/{n}": [c, "--config", n, "--format", "json"] for c, n in TABLE_RUNS
-    }
+    json_runs = {f"{c}/{n}": Run(c, n, (("fmt", "json"),)) for c, n in TABLE_RUNS}
     measured = {
         "import_s": time_import(trees, args.repeat),
         "setup_s": time_setup(trees, args.repeat),

@@ -283,7 +283,7 @@ class _OutputTracker:
 
 def _budget(scenario: Scenario) -> InterferenceBudget:
     detection = scenario.require("detection")
-    baseline_roc, degraded_roc = scenario.roc_pair()
+    baseline_roc, degraded_roc = scenario.roc
     if "baseline_snr_db" in detection:
         baseline_linear = db_to_linear(detection["baseline_snr_db"])
     else:
@@ -299,8 +299,8 @@ def _cochannel_fdr(scenario: Scenario) -> float:
 
 def _policy_config(scenario: Scenario, override: str | None) -> Dict[str, Any]:
     if override is not None:
-        return dict(scenario.policy, type=override)
-    return dict(scenario.require("policy"))  # the schema requires policy.type
+        return dict(scenario.raw.get("policy", {}), type=override)
+    return scenario.require("policy")  # the schema requires policy.type
 
 
 def _lobe_width_rad(scenario: Scenario, cfg: Dict[str, Any]) -> float:
@@ -410,7 +410,8 @@ def _gating_policy(
 
 def _cmd_detect(scenario: Scenario, tracker: _OutputTracker, opts) -> Dict[str, Any]:
     target_cfg = scenario.require("target")
-    baseline, degraded = scenario.roc_pair()
+    scenario.require("detection")
+    baseline, degraded = scenario.roc
     radar = scenario.radar
     target = Target(range_m=target_cfg["range_m"], rcs_m2=target_cfg["rcs_m2"])
     noise = noise_power_w(radar)
@@ -452,7 +453,7 @@ def _cmd_imax(scenario: Scenario, tracker: _OutputTracker, opts) -> Dict[str, An
         "inr_db": budget.inr_db,
     }
     if "pd_drop" in scenario.sweeps:
-        baseline_roc, _ = scenario.roc_pair()
+        baseline_roc = scenario.roc[0]
         grid = resolve_grid(scenario.sweeps["pd_drop"], "sweeps.pd_drop")
         try:
             sweep = inr_vs_performance_drop(
@@ -798,19 +799,20 @@ def run_command(
     overrides = {f: v for f, v in zip(fields, (seed, samples, policy, fmt)) if v is not None}
     for path, value in overrides.items():
         check_field(path, value)
-    fmt = overrides.setdefault("output.format", scenario.output_format)
+    raw = scenario.raw
+    fmt = overrides.setdefault("output.format", raw.get("output", {}).get("format", "csv"))
     out_path = Path(out_dir)
     if not out_path.is_dir():
         out_path.mkdir(parents=True, exist_ok=True)
 
     # the echo shares the sections no override writes with scenario.raw;
     # a section an override writes is copied, so scenario.raw stays as loaded
-    config_echo = dict(scenario.raw)
+    config_echo = dict(raw)
     for path, value in overrides.items():
         section, key = path.split(".")
         config_echo[section] = {**config_echo.get(section, {}), key: value}
 
-    resolved_seed = seed if seed is not None else scenario.mc.get("seed", 0)
+    resolved_seed = seed if seed is not None else raw.get("mc", {}).get("seed", 0)
     opts = SimpleNamespace(seed=seed, samples=samples, policy=policy)
 
     tracker = _OutputTracker(out_path, fmt)

@@ -1,10 +1,10 @@
-"""Scenario configuration: JSON ingestion, strict validation, unit conversion.
+"""Scenario configuration: JSON ingestion, strict validation, record building.
 
-Config files use human conventions (dB, degrees, frequency); conversion to
-the library's internal units (linear ratios, radians, wavelength) happens
-here, once, at the boundary.  The schema is strict: unknown keys are
-rejected so typos fail loudly instead of silently falling back to
-defaults.
+Config files use human conventions (dB, degrees, frequency), and so do the
+records built here; each formula converts the fields it reads (``cli``
+converts ``policy.lobe_width_deg`` and ``detection.baseline_snr_db``).  The
+schema is strict: unknown keys are rejected so typos fail loudly instead of
+silently falling back to defaults.
 
 ``schema/scenario.json`` is compiled once per process by ``_schema`` (a
 validator for exactly the keywords the schema uses; numpy is the only
@@ -17,9 +17,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from importlib import resources
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +42,9 @@ from .radar_detection import SPEED_OF_LIGHT_M_S, RadarSystem, RocPoint
 # _mc_kernels); a million is a 32 MB list of floats, or seconds of either
 MAX_ANALYTIC_WORK = 10**6
 
+# the package's own files (the schema, the fixtures) sit beside this module
+_PACKAGE = Path(__file__).parent
+
 
 class ParseError(ValueError):
     """Config file missing or not parseable as JSON."""
@@ -57,42 +59,38 @@ class MissingSection(ValueError):
 
 
 class Scenario(Record):
-    """A validated scenario: raw config echo plus constructed domain objects."""
+    """A validated scenario: its document and the records built from it.
+
+    ``raw`` is the parsed, normalised document that summary.json echoes.
+    The records are ``radar``, ``su``, ``pathloss``, ``pattern``, the
+    deployment ``field`` and the ``roc`` pair (baseline, degraded) of
+    ``detection``; the last two are None where ``raw`` lacks the section.
+    """
 
     raw: Dict[str, Any]
     radar: RadarSystem
     su: SecondaryUser
     pathloss: PathLossModel
     pattern: Pattern
-    detection: Optional[Dict[str, Any]] = None
-    target: Optional[Dict[str, float]] = None
     field: Optional[DeploymentField] = None
-    policy: Dict[str, Any] = {}
-    wifi: Dict[str, Any] = {}
-    mc: Dict[str, Any] = {}
-    sweeps: Dict[str, Any] = {}
-    output_format: str = "csv"
+    roc: Optional[Tuple[RocPoint, RocPoint]] = None
+
+    @property
+    def sweeps(self) -> Dict[str, Any]:
+        return self.raw.get("sweeps", {})
 
     def require(self, section: str) -> Any:
-        value = getattr(self, section, None)
+        """The ``field`` record, or another section of ``raw``; MissingSection if absent."""
+        value = self.field if section == "field" else self.raw.get(section)
         if not value:
-            raise MissingSection(
-                f"scenario is missing the '{section}' section required here"
-            )
+            raise MissingSection(f"scenario is missing the '{section}' section required here")
         return value
-
-    def roc_pair(self) -> tuple[RocPoint, RocPoint]:
-        det = self.require("detection")
-        baseline = RocPoint(**det["baseline"])
-        degraded = RocPoint(**det["degraded"])
-        return baseline, degraded
 
 
 @functools.cache
 def _load_schema() -> Dict[str, Any]:
     # read once per process; callers only read the returned dict
-    with resources.files("coexist.schema").joinpath("scenario.json").open() as fh:
-        return json.load(fh)
+    return json.loads((_PACKAGE / "schema" / "scenario.json").read_text())
 
 
 @functools.cache
@@ -137,9 +135,7 @@ def fixture_path(name: str) -> Path:
     """Filesystem path of a bundled scenario fixture (e.g. 'type_b_radar')."""
     if not name.endswith(".json"):
         name = name + ".json"
-    path = resources.files("coexist.fixtures").joinpath(name)
-    with resources.as_file(path) as concrete:
-        return Path(concrete)
+    return _PACKAGE / "fixtures" / name
 
 
 def _resolve_path(path: str | Path) -> Path:
@@ -151,8 +147,6 @@ def _resolve_path(path: str | Path) -> Path:
         candidate = fixture_path(str(path))
         if candidate.exists():
             return candidate
-    except (FileNotFoundError, ModuleNotFoundError):
-        pass
     except OSError as exc:  # say, a name too long for the file system
         raise ParseError(f"cannot read config file {path}: {exc.strerror}") from None
     raise ParseError(f"config file not found: {path}")
@@ -257,25 +251,15 @@ def load_scenario(path: str | Path) -> Scenario:
     if "field" in raw:
         deployment = build("field", lambda c: DeploymentField(**c), raw["field"])
 
-    detection = raw.get("detection")
-    if detection is not None:
-        for key in ("baseline", "degraded"):
-            build(f"detection.{key}", lambda c: RocPoint(**c), detection[key])
+    roc = None
+    if "detection" in raw:
+        roc = tuple(
+            build(f"detection.{key}", lambda c: RocPoint(**c), raw["detection"][key])
+            for key in ("baseline", "degraded")
+        )
 
     return Scenario(
-        raw=raw,
-        radar=radar,
-        su=su,
-        pathloss=pathloss,
-        pattern=pattern,
-        detection=detection,
-        target=raw.get("target"),
-        field=deployment,
-        policy=dict(raw.get("policy", {})),
-        wifi=dict(raw.get("wifi", {})),
-        mc=dict(raw.get("mc", {})),
-        sweeps=dict(raw.get("sweeps", {})),
-        output_format=raw.get("output", {}).get("format", "csv"),
+        raw=raw, radar=radar, su=su, pathloss=pathloss, pattern=pattern, field=deployment, roc=roc
     )
 
 

@@ -29,10 +29,10 @@ class Record:
     """Frozen record: a frozen dataclass's behaviour without generated code.
 
     A subclass's fields are its annotated names, in order; a class value is
-    that field's default (a dict default is copied per instance).  Records
-    are built by keyword or position, then checked by ``__post_init__``;
-    they compare equal when of the same class with equal fields, hash by
-    their fields, print as ``Name(field=value, ...)`` and refuse assignment.
+    that field's default, shared by the instances that omit it.  Records are
+    built by keyword or position, then checked by ``__post_init__``; they
+    compare equal when of the same class with equal fields, hash by their
+    fields, print as ``Name(field=value, ...)`` and refuse assignment.
     """
 
     _fields: Tuple[str, ...] = ()
@@ -67,16 +67,11 @@ class Record:
             if key in given:
                 raise TypeError(f"{name}() got multiple values for argument '{key}'")
             given[key] = value
-        values = {}
+        values = {**cls._defaults, **given}
         for key in fields:
-            if key in given:
-                values[key] = given[key]
-            elif key in cls._defaults:
-                default = cls._defaults[key]
-                values[key] = dict(default) if isinstance(default, dict) else default
-            else:
+            if key not in values:
                 raise TypeError(f"{name}() missing required argument '{key}'")
-        return values
+        return {key: values[key] for key in fields}
 
     def __post_init__(self) -> None:
         """Check the fields; a subclass raises ValueError naming a bad one."""

@@ -59,6 +59,8 @@ class TabulatedPathLoss(Record):
             raise ValueError("need matching distance/attenuation lists, length >= 2")
         if any(x <= 0.0 for x in d) or any(x <= 0.0 for x in a):
             raise ValueError("distances and attenuations must be positive")
+        if not all(map(math.isfinite, (*d, *a))):
+            raise ValueError("distances and attenuations must be finite")
         if any(d[i] >= d[i + 1] for i in range(len(d) - 1)):
             raise ValueError("distances must be strictly increasing")
         if any(a[i] <= a[i + 1] for i in range(len(a) - 1)):

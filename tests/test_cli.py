@@ -31,6 +31,7 @@ from coexist.config import (
     load_scenario,
     resolve_grid,
 )
+from coexist.radar_detection import RocPoint
 
 
 def _variant(tmp_path, base, mutate, name="scenario.json"):
@@ -808,6 +809,25 @@ def test_main_side_lobe_on_a_constant_pattern_needs_a_lobe_width(tmp_path, capsy
     )
 
 
+def test_runs_read_the_roc_pair_the_load_built(tmp_path, monkeypatch):
+    # load_scenario builds the detection pair once; detect, imax and imax's
+    # pd_drop sweep read that pair rather than building their own
+    built = []
+    check = RocPoint.__post_init__
+
+    def counted(point):
+        built.append(point)
+        check(point)
+
+    monkeypatch.setattr(RocPoint, "__post_init__", counted)
+    scenario = load_scenario("type_b_radar")
+    assert "pd_drop" in scenario.raw["sweeps"]
+    run_command(scenario, "detect", tmp_path / "detect")
+    run_command(scenario, "imax", tmp_path / "imax")
+    assert (tmp_path / "imax" / "imax_sweep.csv").exists()
+    assert len(built) == 2
+
+
 def test_failed_run_removes_partial_outputs(tmp_path, capsys, monkeypatch):
     # the contour table is written before the density sweep runs; a solver
     # that fails on the sweep's first point must fail the run AND remove the
@@ -902,8 +922,13 @@ def test_off_channel_interferer_exits_3(tmp_path, capsys, command, base):
         lambda tmp: tmp / "missing.csv",
         lambda tmp: tmp,  # a directory
         lambda tmp: _write(tmp / "short.csv", "distance_m,attenuation_db\n100,-20\n1000\n"),
+        # each non-finite cell computed: NaN or infinite distances with exit 0,
+        # or an SVD that did not converge (exit 5) in fit-pathloss
+        lambda tmp: _write(tmp / "nan.csv", "distance_m,attenuation_db\n100,nan\n1000,-40\n"),
+        lambda tmp: _write(tmp / "inf.csv", "distance_m,attenuation_db\n100,-20\ninf,-40\n"),
+        lambda tmp: _write(tmp / "nan_d.csv", "distance_m,attenuation_db\nnan,-20\n1000,-40\n"),
     ],
-    ids=["missing", "directory", "short-row"],
+    ids=["missing", "directory", "short-row", "nan-attenuation", "inf-distance", "nan-distance"],
 )
 def test_bad_pathloss_csv_exits_3(tmp_path, capsys, make_table):
     table = make_table(tmp_path)
@@ -1124,7 +1149,7 @@ def test_integral_float_in_integer_field_runs_as_the_int(tmp_path, command, base
     "command, base, path, value, field, words",
     [
         ("detect", "type_b_radar", ("radar", "noise_figure_db"), 1e6,
-         "radar.noise_figure_db", "is greater than the maximum of 3000"),
+         "radar.noise_figure_db", "is greater than the maximum of 100"),
         ("throughput", "wifi_sharing", ("wifi", "link_loss_db"), 1e300,
          "wifi.link_loss_db", "is greater than the maximum of 3000"),
         ("protect-single", "type_b_radar", ("pathloss",),
@@ -1163,6 +1188,15 @@ def test_overflowing_db_field_exits_3(
         ("validate-mc", ("mc", "outer_radius_m"), 1e300, "greater than the maximum of 20000000.0"),
         ("protect-multi", ("field", "density_per_m2"), 1e300, "greater than the maximum of 1"),
         ("protect-multi", ("radar", "ambient_temp_k"), 1e-300, "less than the minimum of 1"),
+        # each overflowed a power and exited 0 with "inf" results; a profile is
+        # checked as a whole, so its oneOf names mc.profile
+        ("protect-multi", ("radar", "noise_figure_db"), 2999.9999999999995,
+         "greater than the maximum of 100"),
+        ("protect-multi", ("detection", "baseline_snr_db"), 3000, "greater than the maximum of 100"),
+        ("validate-mc", ("mc", "profile"), {"type": "constant", "distance_m": 1e-300},
+         "'distance_m': 1e-300} is not valid under any of the given schemas"),
+        ("validate-mc", ("mc", "profile"), {"type": "optimal", "gamma": 1e-300},
+         "'gamma': 1e-300} is not valid under any of the given schemas"),
     ],
 )
 def test_field_beyond_its_physical_range_exits_3(tmp_path, capsys, command, path, value, words):
@@ -1186,6 +1220,10 @@ def test_field_beyond_its_physical_range_exits_3(tmp_path, capsys, command, path
         ("validate-mc", {("pathloss", "alpha"): 10.0}),
         ("protect-multi", {("field", "density_per_m2"): 1.0, ("radar", "ambient_temp_k"): 1.0}),
         ("protect-multi", {("pathloss", "alpha"): 2.1}),
+        ("protect-multi", {("radar", "noise_figure_db"): 100.0}),
+        ("protect-multi", {("detection", "baseline_snr_db"): 100.0}),
+        ("validate-mc", {("mc", "profile", "distance_m"): 1.0}),
+        ("validate-mc", {("mc", "profile"): {"type": "optimal", "gamma": 1.0}}),
     ],
 )
 def test_fields_at_their_physical_bounds_run(tmp_path, command, edits):

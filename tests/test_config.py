@@ -77,10 +77,10 @@ def test_bundled_fixture_loads():
     assert scenario.pattern.gmax_dbi == 33.5
     assert scenario.pathloss == PowerLawPathLoss(k0=259.0, alpha=3.97)
     assert scenario.field is not None and scenario.field.outage_max == 0.1
-    baseline, degraded = scenario.roc_pair()
+    baseline, degraded = scenario.roc
     assert (baseline.pd, baseline.pfa) == (0.9, 1e-6)
     assert (degraded.pd, degraded.pfa) == (0.85, 1e-6)
-    assert scenario.output_format == "csv"
+    assert scenario.raw["output"] == {"format": "csv"}
 
 
 def test_bundled_fixture_names_resolve():
@@ -88,7 +88,7 @@ def test_bundled_fixture_names_resolve():
         assert fixture_path(name).exists()
     # the loader also accepts the bare fixture name directly
     scenario = load_scenario("wifi_sharing")
-    assert scenario.wifi["link_loss_db"] == 80.0
+    assert scenario.raw["wifi"]["link_loss_db"] == 80.0
 
 
 def test_scan_solid_angle_defaults_to_fan_beam(tmp_path):

@@ -502,13 +502,14 @@ def test_sampler_reads_the_quadrature_grid(monkeypatch):
     from coexist.protection_multi import gain_grid
 
     scenario = load_scenario("type_b_radar")
-    pattern, outer = scenario.pattern, scenario.mc["outer_radius_m"]
+    mc = scenario.raw["mc"]
+    pattern, outer = scenario.pattern, mc["outer_radius_m"]
     fdr = fdr_cochannel(scenario.su.bandwidth_hz, scenario.radar.if_bandwidth_hz)
     theta, gains = gain_grid(pattern)
     seen = []
     monkeypatch.setattr(_mc_kernels, "sample_sums", lambda **kw: seen.append(kw))
     for policy in (
-        RadarBlindPolicy(d_min_m=scenario.mc["profile"]["distance_m"]),
+        RadarBlindPolicy(d_min_m=mc["profile"]["distance_m"]),
         OptimalPolicy(gamma=500.0, alpha=scenario.pathloss.alpha),
     ):
         profile = policy_profile(policy, pattern)

@@ -7,6 +7,8 @@ construction and through ``replace``.  Records refuse assignment and
 deletion, equal ones hash equal, and ``repr`` prints ``Name(field=value, ...)``.
 """
 
+import math
+
 import pytest
 
 from coexist.config import Scenario, load_scenario
@@ -90,6 +92,10 @@ INVALID = [
      "distances and attenuations must be positive"),
     (TabulatedPathLoss, {"distances_m": (1000.0, 100.0)},
      "distances must be strictly increasing"),
+    (TabulatedPathLoss, {"distances_m": (100.0, math.inf)},
+     "distances and attenuations must be finite"),
+    (TabulatedPathLoss, {"distances_m": (100.0, 1000.0), "attenuations": (1e-2, math.nan)},
+     "distances and attenuations must be finite"),
     (TabulatedPathLoss, {"attenuations": (1e-5, 1e-2)},
      "attenuations must be strictly decreasing"),
     (AntennaPattern, {"gmax_dbi": 48.0},
@@ -154,17 +160,11 @@ def test_positional_construction_equals_keyword(cls):
     assert [getattr(by_keyword, name) for name in kwargs] == list(kwargs.values())
 
 
-def test_defaults_apply_and_dict_defaults_are_not_shared():
+def test_defaults_apply():
     assert RootBracket(lo=0.0, hi=1.0) == RootBracket(0.0, 1.0, 1e-12, 200)
     required = ("raw", "radar", "su", "pathloss", "pattern")
-    kwargs = {name: getattr(_SCENARIO, name) for name in required}
-    a, b = Scenario(**kwargs), Scenario(**kwargs)
-    assert (a.detection, a.target, a.field, a.output_format) == (None, None, None, "csv")
-    for name in ("policy", "wifi", "mc", "sweeps"):
-        assert getattr(a, name) == {}
-        assert getattr(a, name) is not getattr(b, name)
-    a.policy["type"] = "optimal"
-    assert Scenario(**kwargs).policy == {}
+    scenario = Scenario(**{name: getattr(_SCENARIO, name) for name in required})
+    assert (scenario.field, scenario.roc) == (None, None)
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=IDS)

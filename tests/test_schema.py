@@ -85,7 +85,7 @@ def _bases():
         "lobe_width_deg": 10.0,
     }
     tabulated["sweeps"]["theta_deg"] = {"start": -180.0, "stop": 180.0, "count": 5}
-    tabulated["mc"]["profile"] = {"type": "optimal", "gamma": 1e-9}
+    tabulated["mc"]["profile"] = {"type": "optimal", "gamma": 500.0}
     csv = copy.deepcopy(_fixture("wifi_sharing"))
     csv["pathloss"] = {"type": "tabulated", "csv_path": "terrain.csv"}
     csv["antenna_pattern"] = {"constant_gain_dbi": 0.0}
