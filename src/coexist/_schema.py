@@ -12,9 +12,8 @@ integer), ``properties``, ``additionalProperties: false``,
 ``required``, ``minimum``, ``exclusiveMinimum``, ``maximum``,
 ``exclusiveMaximum``, ``enum`` and ``const`` (string values), ``oneOf``,
 local ``$ref`` into ``$defs`` (sibling keywords apply too), ``items``,
-``prefixItems``, ``minItems``, ``maxItems`` and ``minLength``.  Compiling
-any other keyword raises ``SchemaError``, so a schema edit cannot be
-silently ignored.
+``prefixItems``, ``minItems`` and ``maxItems``.  Compiling any other
+keyword raises ``SchemaError``, so a schema edit cannot be silently ignored.
 
 A ``number`` is a finite JSON number: NaN, +-Infinity (which ``json.loads``
 accepts) and integers beyond the float range are not numbers here, and
@@ -338,7 +337,7 @@ def _prefix_items(value, node, build, resolve):
     return _descend(children)
 
 
-def _length(keyword, cls, too_long):
+def _length(keyword, too_long):
     def compile_length(limit, node, build, resolve):
         if limit.__class__ is not int or limit < 0:
             raise SchemaError(f"{keyword} needs a non-negative integer, got {limit!r}")
@@ -347,7 +346,7 @@ def _length(keyword, cls, too_long):
         else:
             word = "should be non-empty" if limit == 1 else "is too short"
         return _check(
-            lambda x: x.__class__ is not cls or (len(x) <= limit if too_long else len(x) >= limit),
+            lambda x: x.__class__ is not list or (len(x) <= limit if too_long else len(x) >= limit),
             lambda x: f"{x!r} {word}",
         )
 
@@ -369,9 +368,8 @@ _KEYWORDS = {
     "$ref": _ref,
     "items": _items,
     "prefixItems": _prefix_items,
-    "minItems": _length("minItems", list, False),
-    "maxItems": _length("maxItems", list, True),
-    "minLength": _length("minLength", str, False),
+    "minItems": _length("minItems", False),
+    "maxItems": _length("maxItems", True),
 }
 
 

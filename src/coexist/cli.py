@@ -297,6 +297,14 @@ def _cochannel_fdr(scenario: Scenario) -> float:
     return fdr_cochannel(scenario.su.bandwidth_hz, scenario.radar.if_bandwidth_hz)
 
 
+def _power_law(scenario: Scenario, needs: str) -> PowerLawPathLoss:
+    """The scenario's path-loss model, which ``needs`` takes only as a power law."""
+    model = scenario.pathloss
+    if not isinstance(model, PowerLawPathLoss):
+        raise ValidationError(f"pathloss.type: {needs} needs a power-law model")
+    return model
+
+
 def _policy_config(scenario: Scenario, override: str | None) -> Dict[str, Any]:
     if override is not None:
         return dict(scenario.raw.get("policy", {}), type=override)
@@ -334,7 +342,8 @@ def _solve_policy(
             "no interference budget for a deployment-field policy"
         )
     kind = cfg["type"]
-    args = (field, scenario.su, scenario.pattern, scenario.pathloss, fdr, i_max_w)
+    pathloss = _power_law(scenario, f"the {kind} policy")
+    args = (field, scenario.su, scenario.pattern, pathloss, fdr, i_max_w)
     try:
         if kind == "radar-blind":
             policy: SharingPolicy = solve_radar_blind(*args)
@@ -391,11 +400,7 @@ def _gating_policy(
 ) -> tuple[SharingPolicy, Dict[str, Any]]:
     """Policy used to gate WiFi transmissions, including single-user sharing."""
     if cfg["type"] == "single-user":
-        model = scenario.pathloss
-        if not isinstance(model, PowerLawPathLoss):
-            raise ValidationError(
-                "pathloss.type: single-user gating needs a power-law model"
-            )
+        model = _power_law(scenario, "single-user gating")
         gamma = single_user_gamma(scenario.su, model, budget, fdr)
         policy = OptimalPolicy(gamma=gamma, alpha=model.alpha)
         return policy, {"gamma_m": gamma}
@@ -657,9 +662,7 @@ def _cmd_validate_mc(
 ) -> Dict[str, Any]:
     mc = scenario.require("mc")
     field = scenario.require("field")
-    model = scenario.pathloss
-    if not isinstance(model, PowerLawPathLoss):
-        raise ValidationError("pathloss.type: validate-mc needs a power-law model")
+    model = _power_law(scenario, "validate-mc")
     fdr = _cochannel_fdr(scenario)
     seed = opts.seed if opts.seed is not None else mc["seed"]
     n_samples = opts.samples if opts.samples is not None else mc["samples"]

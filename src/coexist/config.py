@@ -47,7 +47,7 @@ _PACKAGE = Path(__file__).parent
 
 
 class ParseError(ValueError):
-    """Config file missing or not parseable as JSON."""
+    """Config file missing, not a regular file, or not parseable as JSON."""
 
 
 class ValidationError(ValueError):
@@ -139,14 +139,14 @@ def fixture_path(name: str) -> Path:
 
 
 def _resolve_path(path: str | Path) -> Path:
-    p = Path(path)
     try:
-        if p.exists():
-            return p
         # fall back to bundled fixtures so `--config type_b_radar` works anywhere
-        candidate = fixture_path(str(path))
-        if candidate.exists():
-            return candidate
+        for candidate in (Path(path), fixture_path(str(path))):
+            if candidate.exists():
+                # refused before it is opened: a FIFO blocks a read, /dev/zero never ends one
+                if not candidate.is_file():
+                    raise ParseError(f"config is not a regular file: {path}")
+                return candidate
     except OSError as exc:  # say, a name too long for the file system
         raise ParseError(f"cannot read config file {path}: {exc.strerror}") from None
     raise ParseError(f"config file not found: {path}")
@@ -181,15 +181,9 @@ def _build_radar(cfg: Dict[str, Any]) -> RadarSystem:
     )
 
 
-def _build_pathloss(cfg: Dict[str, Any], scenario_dir: Path) -> PathLossModel:
+def _build_pathloss(cfg: Dict[str, Any]) -> PathLossModel:
     if cfg["type"] == "power_law":
         return PowerLawPathLoss(k0=cfg["k0"], alpha=cfg["alpha"])
-    if "csv_path" in cfg:
-        # a relative path names a file beside the scenario, wherever it runs
-        try:
-            return TabulatedPathLoss.from_csv(scenario_dir / cfg["csv_path"])
-        except (OSError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"pathloss.csv_path: {exc}") from exc
     distances = tuple(float(row[0]) for row in cfg["samples"])
     attens = tuple(
         _linear(f"pathloss.samples.{i}.1", float(row[1]))
@@ -201,9 +195,10 @@ def _build_pathloss(cfg: Dict[str, Any], scenario_dir: Path) -> PathLossModel:
 def load_scenario(path: str | Path) -> Scenario:
     """Load, schema-validate, and build a scenario from a JSON config file.
 
-    Raises ParseError for an unreadable or undecodable file, or JSON nested
-    deeper than ``json.loads`` can parse, and ValidationError
-    (naming the offending field) for schema or invariant violations.
+    Raises ParseError for a missing, non-regular, unreadable or undecodable
+    file, or JSON nested deeper than ``json.loads`` can parse, and
+    ValidationError (naming the offending field) for schema or invariant
+    violations.
     """
     concrete = _resolve_path(path)
     try:
@@ -235,7 +230,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
     radar = build("radar", _build_radar, raw["radar"])
     su = build("su", lambda c: SecondaryUser(**c), raw["su"])
-    pathloss = build("pathloss", _build_pathloss, raw["pathloss"], concrete.parent)
+    pathloss = build("pathloss", _build_pathloss, raw["pathloss"])
 
     pattern_cfg = raw.get("antenna_pattern", {})
     if "constant_gain_dbi" in pattern_cfg:

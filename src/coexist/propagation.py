@@ -10,7 +10,6 @@ ITU-R reference patterns for fixed radiolocation antennas.
 from __future__ import annotations
 
 import math
-import os
 from typing import Sequence, Tuple, Union
 
 import numpy as np
@@ -65,35 +64,6 @@ class TabulatedPathLoss(Record):
             raise ValueError("distances must be strictly increasing")
         if any(a[i] <= a[i + 1] for i in range(len(a) - 1)):
             raise ValueError("attenuations must be strictly decreasing")
-
-    @classmethod
-    def from_csv(cls, path: str | os.PathLike[str]) -> "TabulatedPathLoss":
-        """Load a two-column CSV with header ``distance_m,attenuation_db``.
-
-        Every non-blank row must hold exactly two cells; a stray third
-        column is refused, naming its line.
-        """
-        import csv  # only a table file needs it
-
-        distances = []
-        attens = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = [c.strip() for c in next(reader, [])]
-            if header != ["distance_m", "attenuation_db"]:
-                raise ValueError(
-                    "expected CSV header 'distance_m,attenuation_db'"
-                )
-            for row in reader:
-                if not row:  # blank line
-                    continue
-                if len(row) != 2:
-                    raise ValueError(
-                        f"line {reader.line_num}: expected two cells, got {len(row)}"
-                    )
-                distances.append(float(row[0]))
-                attens.append(db_to_linear(float(row[1])))
-        return cls(tuple(distances), tuple(attens))
 
 
 PathLossModel = Union[PowerLawPathLoss, TabulatedPathLoss]

@@ -43,11 +43,6 @@ def _variant(tmp_path, base, mutate, name="scenario.json"):
     return path
 
 
-def _write(path, text):
-    path.write_text(text)
-    return path
-
-
 def _summary(out_dir):
     return json.loads((out_dir / "summary.json").read_text())
 
@@ -398,6 +393,18 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
         _assert_parse_error(config, tmp_path, capsys)
 
 
+def test_non_regular_config_exits_2(tmp_path, capsys):
+    # a FIFO blocked the read forever and /dev/zero read without end; the
+    # path is refused before it is opened, naming it
+    fifo = tmp_path / "fifo.json"
+    os.mkfifo(fifo)
+    configs = [fifo, tmp_path] + [Path("/dev/zero")] * os.path.exists("/dev/zero")
+    for config in configs:
+        _assert_parse_error(config, tmp_path, capsys)
+        main(["detect", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert capsys.readouterr().err == f"error: config is not a regular file: {config}\n"
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     contents = [
         b'{"radar": ',
@@ -471,8 +478,9 @@ print(json.dumps({"modules": sorted(sys.modules), "classes": classes}))
 
 def test_import_and_load_pull_in_no_unneeded_module():
     # the stdlib modules that only one function needs are imported inside it
-    # (statistics in q_inverse, csv in TabulatedPathLoss.from_csv), and the
-    # records are not dataclasses, so none of these is loaded to run a command
+    # (statistics in q_inverse, argparse in cli._build_parser), the CLI
+    # writes its tables without csv, and the records are not dataclasses,
+    # so none of these is loaded to run a command
     loaded = json.loads(_fresh_interpreter(LEAN_IMPORT))
     unneeded = ("dataclasses", "statistics", "decimal", "fractions", "copy", "csv")
     assert [name for name in unneeded if name in loaded["modules"]] == []
@@ -917,65 +925,93 @@ def test_off_channel_interferer_exits_3(tmp_path, capsys, command, base):
 
 
 @pytest.mark.parametrize(
-    "make_table",
+    "samples, words",
     [
-        lambda tmp: tmp / "missing.csv",
-        lambda tmp: tmp,  # a directory
-        lambda tmp: _write(tmp / "short.csv", "distance_m,attenuation_db\n100,-20\n1000\n"),
-        # each non-finite cell computed: NaN or infinite distances with exit 0,
-        # or an SVD that did not converge (exit 5) in fit-pathloss
-        lambda tmp: _write(tmp / "nan.csv", "distance_m,attenuation_db\n100,nan\n1000,-40\n"),
-        lambda tmp: _write(tmp / "inf.csv", "distance_m,attenuation_db\n100,-20\ninf,-40\n"),
-        lambda tmp: _write(tmp / "nan_d.csv", "distance_m,attenuation_db\nnan,-20\n1000,-40\n"),
+        # the inline forms of a CSV table's faults; each exited 3 naming the
+        # whole pathloss object as "not valid under any of the given schemas"
+        ([[100.0, math.nan], [1000.0, -70.0]], "pathloss.samples.0.1: nan is not of type 'number'"),
+        ([[100.0, -40.0], [math.inf, -70.0]], "pathloss.samples.1.0: inf is not of type 'number'"),
+        ([[100.0, -40.0, 1.0], [1000.0, -70.0]], "pathloss.samples.0: [100.0, -40.0, 1.0] is too long"),
+        ([[100.0], [1000.0, -70.0]], "pathloss.samples.0: [100.0] is too short"),
+        ([[100.0, -40.0]], "pathloss.samples: [[100.0, -40.0]] is too short"),
+        ([[0.0, -40.0], [1000.0, -70.0]],
+         "pathloss.samples.0.0: 0.0 is less than or equal to the minimum of 0"),
     ],
-    ids=["missing", "directory", "short-row", "nan-attenuation", "inf-distance", "nan-distance"],
+    ids=["nan-attenuation", "inf-distance", "three-cells", "one-cell", "one-row", "zero-distance"],
 )
-def test_bad_pathloss_csv_exits_3(tmp_path, capsys, make_table):
-    table = make_table(tmp_path)
-
+def test_bad_pathloss_samples_exit_3(tmp_path, capsys, samples, words):
     def tabulate(cfg):
-        cfg["pathloss"] = {"type": "tabulated", "csv_path": str(table)}
+        cfg["pathloss"] = {"type": "tabulated", "samples": samples}
 
     config = _variant(tmp_path, "type_b_radar", tabulate)
     out = tmp_path / "o"
-    rc = main(["protect-single", "--config", str(config), "--out", str(out)])
-    assert rc == 3
-    assert capsys.readouterr().err.startswith("error: pathloss.csv_path:")
+    assert main(["fit-pathloss", "--config", str(config), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {words}\n"
     assert not out.exists()
 
 
-def test_pathloss_csv_with_extra_cell_exits_3(tmp_path, capsys):
-    # a stray third column is a malformed table, not a two-column one
-    table = _write(
-        tmp_path / "extra.csv", "distance_m,attenuation_db\n100,-20,junk\n1000,-40\n"
-    )
-
-    def tabulate(cfg):
-        cfg["pathloss"] = {"type": "tabulated", "csv_path": str(table)}
-
-    config = _variant(tmp_path, "type_b_radar", tabulate)
-    out = tmp_path / "o"
-    rc = main(["protect-single", "--config", str(config), "--out", str(out)])
-    assert rc == 3
-    assert capsys.readouterr().err.startswith(
-        "error: pathloss.csv_path: line 2: expected two cells, got 3"
-    )
-    assert not out.exists()
-
-
-def test_relative_pathloss_csv_resolves_beside_the_scenario(tmp_path, monkeypatch):
-    sub = tmp_path / "sub"
-    sub.mkdir()
-    _write(sub / "table.csv", "distance_m,attenuation_db\n100,-40\n1000,-70\n10000,-100\n")
-
+def test_pathloss_csv_path_is_not_a_key(tmp_path, capsys):
+    # a tabulated model is given inline; the scenario is the run's only file
     def tabulate(cfg):
         cfg["pathloss"] = {"type": "tabulated", "csv_path": "table.csv"}
 
-    _variant(sub, "type_b_radar", tabulate, name="s.json")
-    monkeypatch.chdir(tmp_path)
-    rc = main(["protect-single", "--config", "sub/s.json", "--out", "o"])
-    assert rc == 0
-    assert (tmp_path / "o" / "summary.json").is_file()
+    config = _variant(tmp_path, "type_b_radar", tabulate)
+    assert main(["fit-pathloss", "--config", str(config), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == (
+        "error: pathloss: Additional properties are not allowed ('csv_path' was unexpected)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, policy",
+    [
+        # the first four exited 5 unnamed: "Campbell closed forms require a
+        # PowerLawPathLoss (fit tabulated data first)"
+        ("protect-multi", "optimal"),
+        ("protect-multi", "radar-blind"),
+        ("protect-multi", "main-side-lobe"),
+        ("throughput", "optimal"),
+        ("throughput", "single-user"),
+        ("validate-mc", None),
+    ],
+)
+def test_tabulated_pathloss_where_a_power_law_is_needed_exits_3(
+    tmp_path, capsys, command, policy
+):
+    def tabulate(cfg):
+        cfg["pathloss"] = {"type": "tabulated", "samples": [[100.0, -40.0], [1000.0, -70.0]]}
+        cfg["wifi"] = json.loads(fixture_path("wifi_sharing").read_text())["wifi"]
+
+    config = _variant(tmp_path, "type_b_radar", tabulate)
+    out = tmp_path / "o"
+    argv = [command, "--config", str(config), "--out", str(out)]
+    assert main(argv + ["--policy", policy] * (policy is not None)) == 3
+    assert capsys.readouterr().err.startswith("error: pathloss.type: ")
+    assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize(
+    "path, value, words",
+    [
+        # each named the whole object as "not valid under any of the given schemas"
+        (("mc", "profile"), {"type": "constant", "distance_m": 0.5},
+         "mc.profile.distance_m: 0.5 is less than the minimum of 1"),
+        (("mc", "profile"), {"type": "optimal", "gamma": 1e-300},
+         "mc.profile.gamma: 1e-300 is less than the minimum of 1"),
+        (("sweeps", "theta_deg"), {"values": []}, "sweeps.theta_deg.values: [] should be non-empty"),
+        (("sweeps", "theta_deg"), {"start": -90.0, "stop": 90.0, "count": 1},
+         "sweeps.theta_deg.count: 1 is less than the minimum of 2"),
+        (("sweeps", "distance_m"), {"start": 100.0, "stop": 900.0, "count": 3, "spacing": "cubic"},
+         "sweeps.distance_m.spacing: 'cubic' is not one of ['linear', 'log']"),
+    ],
+    ids=["profile-distance", "profile-gamma", "empty-values", "count-1", "cubic-spacing"],
+)
+def test_one_of_value_error_names_its_key(tmp_path, capsys, path, value, words):
+    config = _variant(tmp_path, "type_b_radar", lambda cfg: _set(cfg, path, value))
+    out = tmp_path / "o"
+    assert main(["validate-mc", "--config", str(config), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {words}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -1188,15 +1224,22 @@ def test_overflowing_db_field_exits_3(
         ("validate-mc", ("mc", "outer_radius_m"), 1e300, "greater than the maximum of 20000000.0"),
         ("protect-multi", ("field", "density_per_m2"), 1e300, "greater than the maximum of 1"),
         ("protect-multi", ("radar", "ambient_temp_k"), 1e-300, "less than the minimum of 1"),
-        # each overflowed a power and exited 0 with "inf" results; a profile is
-        # checked as a whole, so its oneOf names mc.profile
+        # each overflowed a power and exited 0 with "inf" results
         ("protect-multi", ("radar", "noise_figure_db"), 2999.9999999999995,
          "greater than the maximum of 100"),
         ("protect-multi", ("detection", "baseline_snr_db"), 3000, "greater than the maximum of 100"),
-        ("validate-mc", ("mc", "profile"), {"type": "constant", "distance_m": 1e-300},
-         "'distance_m': 1e-300} is not valid under any of the given schemas"),
-        ("validate-mc", ("mc", "profile"), {"type": "optimal", "gamma": 1e-300},
-         "'gamma': 1e-300} is not valid under any of the given schemas"),
+        ("validate-mc", ("mc", "profile", "distance_m"), 1e-300, "less than the minimum of 1"),
+        # each exited 5 on an overflow, or on an unnamed "float division by zero"
+        ("protect-single", ("antenna_pattern", "constant_gain_dbi"), 2999.9999,
+         "greater than the maximum of 50"),
+        ("validate-mc", ("antenna_pattern", "constant_gain_dbi"), 2999.9999,
+         "greater than the maximum of 50"),
+        ("protect-multi", ("antenna_pattern", "constant_gain_dbi"), -3000,
+         "less than the minimum of -100"),
+        ("protect-single", ("antenna_pattern", "constant_gain_dbi"), -1e300,
+         "less than the minimum of -100"),
+        ("validate-mc", ("antenna_pattern", "constant_gain_dbi"), -1e300,
+         "less than the minimum of -100"),
     ],
 )
 def test_field_beyond_its_physical_range_exits_3(tmp_path, capsys, command, path, value, words):
@@ -1224,6 +1267,14 @@ def test_field_beyond_its_physical_range_exits_3(tmp_path, capsys, command, path
         ("protect-multi", {("detection", "baseline_snr_db"): 100.0}),
         ("validate-mc", {("mc", "profile", "distance_m"): 1.0}),
         ("validate-mc", {("mc", "profile"): {"type": "optimal", "gamma": 1.0}}),
+        ("protect-single", {("antenna_pattern", "constant_gain_dbi"): 50.0}),
+        ("protect-single", {("antenna_pattern", "constant_gain_dbi"): -100.0}),
+        ("protect-multi", {("antenna_pattern", "constant_gain_dbi"): 50.0,
+                           ("policy", "lobe_width_deg"): 10.0}),
+        ("protect-multi", {("antenna_pattern", "constant_gain_dbi"): -100.0,
+                           ("policy", "lobe_width_deg"): 10.0}),
+        ("validate-mc", {("antenna_pattern", "constant_gain_dbi"): 50.0}),
+        ("validate-mc", {("antenna_pattern", "constant_gain_dbi"): -100.0}),
     ],
 )
 def test_fields_at_their_physical_bounds_run(tmp_path, command, edits):

@@ -108,7 +108,7 @@ def test_explicit_wavelength(tmp_path):
     assert scenario.radar.wavelength_m == 0.107068735
 
 
-def test_tabulated_pathloss_inline_and_csv(tmp_path):
+def test_tabulated_pathloss_inline(tmp_path):
     doc = _variant(pathloss={
         "type": "tabulated",
         "samples": [[100.0, -40.0], [1000.0, -70.0], [10000.0, -100.0]],
@@ -116,12 +116,6 @@ def test_tabulated_pathloss_inline_and_csv(tmp_path):
     scenario = load_scenario(_write(tmp_path, doc))
     assert isinstance(scenario.pathloss, TabulatedPathLoss)
     assert scenario.pathloss.distances_m == (100.0, 1000.0, 10000.0)
-
-    csv_file = tmp_path / "terrain.csv"
-    csv_file.write_text("distance_m,attenuation_db\n100,-40\n1000,-70\n")
-    doc = _variant(pathloss={"type": "tabulated", "csv_path": str(csv_file)})
-    scenario = load_scenario(_write(tmp_path, doc))
-    assert isinstance(scenario.pathloss, TabulatedPathLoss)
 
 
 def test_constant_gain_override(tmp_path):

@@ -87,21 +87,6 @@ def test_tabulated_validation():
         TabulatedPathLoss((100.0, 200.0), (0.4, 0.5))  # not decreasing
 
 
-def test_tabulated_from_csv(tmp_path):
-    p = tmp_path / "loss.csv"
-    p.write_text("distance_m,attenuation_db\n100,-20\n1000,-50\n10000,-80\n")
-    model = TabulatedPathLoss.from_csv(str(p))
-    assert_allclose(attenuation(model, 1000.0), db_to_linear(-50.0), rtol=1e-12)
-    # spaces after the header's commas and blank lines are tolerated
-    spaced = tmp_path / "spaced.csv"
-    spaced.write_text("distance_m, attenuation_db\n100,-20\n\n1000,-50\n10000,-80\n")
-    assert TabulatedPathLoss.from_csv(str(spaced)) == model
-    bad = tmp_path / "bad.csv"
-    bad.write_text("d,a\n1,2\n")
-    with pytest.raises(ValueError):
-        TabulatedPathLoss.from_csv(str(bad))
-
-
 # ------------------------------------------------------------ antenna model
 
 

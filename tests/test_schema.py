@@ -86,12 +86,12 @@ def _bases():
     }
     tabulated["sweeps"]["theta_deg"] = {"start": -180.0, "stop": 180.0, "count": 5}
     tabulated["mc"]["profile"] = {"type": "optimal", "gamma": 500.0}
-    csv = copy.deepcopy(_fixture("wifi_sharing"))
-    csv["pathloss"] = {"type": "tabulated", "csv_path": "terrain.csv"}
-    csv["antenna_pattern"] = {"constant_gain_dbi": 0.0}
-    csv["policy"]["beta_grid"] = {"start": 1.0, "stop": 8.0, "count": 4, "spacing": "linear"}
-    csv["sweeps"]["distance_m"] = {"values": [500.0, 1000.0]}
-    return [radar, _fixture("wifi_sharing"), tabulated, csv, copy.deepcopy(MINIMAL)]
+    constant = copy.deepcopy(_fixture("wifi_sharing"))
+    constant["pathloss"] = {"type": "tabulated", "samples": [[50.0, -30.0], [5000.0, -90.0]]}
+    constant["antenna_pattern"] = {"constant_gain_dbi": 0.0}
+    constant["policy"]["beta_grid"] = {"start": 1.0, "stop": 8.0, "count": 4, "spacing": "linear"}
+    constant["sweeps"]["distance_m"] = {"values": [500.0, 1000.0]}
+    return [radar, _fixture("wifi_sharing"), tabulated, constant, copy.deepcopy(MINIMAL)]
 
 
 BASES = _bases()
@@ -195,10 +195,10 @@ def test_agrees_with_jsonschema_on_arbitrary_json(doc):
 SYNTHETIC = {
     "properties": {
         "a": {"oneOf": [{"type": "number"}, {"type": "integer"}, {"minimum": 0}]},
-        "s": {"type": "string", "minLength": 2},
+        "s": {"type": "string"},
         "e": {"maxItems": 0},
         "m": {"minItems": 2, "maxItems": 3},
-        "n": {"minItems": 1, "minLength": 1},
+        "n": {"minItems": 1},
     },
     "prefixItems": [{"const": "x"}, {"enum": ["y", "z"]}],
     "items": {"type": "number", "maximum": 5, "exclusiveMaximum": 3},
@@ -274,6 +274,23 @@ TESTED_INPUTS = [
     ("type_b_radar", [("sweeps.density_per_m2", {"values": [-1e-6, 1e-6]})]),
     ("type_b_radar", [("sweeps.density_per_m2", {"start": -1e-6, "stop": 1e-6, "count": 3})]),
     ("type_b_radar", [("sweeps.beta", {"values": [1.0, 2.0, 4.0]})]),
+    *[("type_b_radar", [("pathloss", {"type": "tabulated", "samples": rows})]) for rows in (
+        [[100.0, math.nan], [1000.0, -70.0]],
+        [[100.0, -40.0], [math.inf, -70.0]],
+        [[100.0, -40.0, 1.0], [1000.0, -70.0]],
+        [[100.0], [1000.0, -70.0]],
+        [[100.0, -40.0]],
+        [[0.0, -40.0], [1000.0, -70.0]],
+    )],
+    ("type_b_radar", [("pathloss", {"type": "tabulated", "csv_path": "table.csv"})]),
+    ("type_b_radar", [("mc.profile", {"type": "constant", "distance_m": 0.5})]),
+    ("type_b_radar", [("mc.profile", {"type": "optimal", "gamma": 1e-300})]),
+    ("type_b_radar", [("sweeps.theta_deg", {"values": []})]),
+    ("type_b_radar", [("sweeps.theta_deg", {"start": -90.0, "stop": 90.0, "count": 1})]),
+    ("type_b_radar", [("sweeps.distance_m", {"start": 1.0, "stop": 9.0, "count": 3,
+                                              "spacing": "cubic"})]),
+    ("type_b_radar", [("antenna_pattern.constant_gain_dbi", 2999.9999)]),
+    ("type_b_radar", [("antenna_pattern.constant_gain_dbi", -1e300)]),
 ]
 
 
@@ -318,6 +335,7 @@ def test_integer_beyond_float_range_is_not_a_number(tmp_path):
     "schema",
     [
         {"type": "string", "pattern": "^a"},
+        {"minLength": 1},
         {"anyOf": [{"type": "string"}]},
         {"properties": {"x": {"type": "number", "multipleOf": 2}}},
         {"additionalProperties": {"type": "number"}},
