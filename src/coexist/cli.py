@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain, takewhile
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Sequence
@@ -228,6 +229,8 @@ class _OutputTracker:
         self.out_dir = out_dir
         self.fmt = fmt
         self.written: List[Path] = []
+        # out_dir and its missing parents, deepest first: the run makes them
+        self.made = list(takewhile(lambda p: not p.is_dir(), chain([out_dir], out_dir.parents)))
 
     def table(
         self, name: str, columns: Sequence[str], data: Sequence[Sequence[Any]]
@@ -270,9 +273,11 @@ class _OutputTracker:
 
     def cleanup(self) -> None:
         for path in self.written:
+            path.unlink(missing_ok=True)
+        for path in self.made:  # each only if empty
             try:
-                path.unlink()
-            except FileNotFoundError:
+                path.rmdir()
+            except OSError:
                 pass
 
 
@@ -792,8 +797,9 @@ def run_command(
     """Execute one command, writing its artifacts into ``out_dir``.
 
     Returns the summary payload.  On any failure every artifact written so
-    far (including a partial summary) is removed before the error
-    propagates, so an output directory never holds a half-finished run.
+    far (including a partial summary) and every directory made for them is
+    removed before the error propagates, so an output directory never holds
+    a half-finished run.
     """
     if command not in _COMMANDS:
         raise ValidationError(f"unknown command {command!r}")
@@ -804,9 +810,6 @@ def run_command(
         check_field(path, value)
     raw = scenario.raw
     fmt = overrides.setdefault("output.format", raw.get("output", {}).get("format", "csv"))
-    out_path = Path(out_dir)
-    if not out_path.is_dir():
-        out_path.mkdir(parents=True, exist_ok=True)
 
     # the echo shares the sections no override writes with scenario.raw;
     # a section an override writes is copied, so scenario.raw stays as loaded
@@ -814,12 +817,18 @@ def run_command(
     for path, value in overrides.items():
         section, key = path.split(".")
         config_echo[section] = {**config_echo.get(section, {}), key: value}
+    # a section the overrides create must be whole, or the echo cannot be replayed
+    for section, value in config_echo.items():
+        if section not in raw:
+            check_field(section, value)
 
     resolved_seed = seed if seed is not None else raw.get("mc", {}).get("seed", 0)
     opts = SimpleNamespace(seed=seed, samples=samples, policy=policy)
 
-    tracker = _OutputTracker(out_path, fmt)
+    tracker = _OutputTracker(Path(out_dir), fmt)
     try:
+        for path in reversed(tracker.made):
+            path.mkdir(exist_ok=True)
         results = _COMMANDS[command][0](scenario, tracker, opts)
         payload = {
             "command": command,

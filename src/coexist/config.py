@@ -261,11 +261,15 @@ def load_scenario(path: str | Path) -> Scenario:
 def check_field(path: str, value: Any) -> None:
     """Validate one value against the schema entry at dotted ``path``.
 
-    For values that bypass the scenario file, such as CLI overrides.
+    For values that bypass the scenario file, such as CLI overrides and the
+    fields of the records bound to a section; a numpy scalar is checked as
+    the Python number it holds.
     """
-    err = _validator(path).first_error(value)
-    if err is not None:
-        raise ValidationError(f"{path}: {err[1]}")
+    if isinstance(value, np.generic):
+        value = value.item()
+    validator = _validator(path)
+    if not validator.is_valid(value):  # one predicate call for each record field of a load
+        raise ValidationError(f"{path}: {validator.first_error(value)[1]}")
 
 
 def check_analytic_work(path: str, points: int, steps: int = 1, unit: str = "time steps") -> None:

@@ -33,13 +33,24 @@ class Record:
     built by keyword or position, then checked by ``__post_init__``; they
     compare equal when of the same class with equal fields, hash by their
     fields, print as ``Name(field=value, ...)`` and refuse assignment.
+
+    A subclass that names a scenario-schema section in ``_schema_section`` is
+    bound to it: before ``__post_init__``, each of its ``float`` fields is
+    checked against the section's key of the same name by
+    ``config.check_field``, which raises the CLI's ``ValidationError``.
     """
 
     _fields: Tuple[str, ...] = ()
+    _schema_section = ""
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
-        cls._fields = fields = tuple(cls.__dict__.get("__annotations__", ()))
+        annotations = cls.__dict__.get("__annotations__", {})
+        cls._fields = fields = tuple(annotations)
+        section = cls._schema_section  # a bound record's float fields, with their paths
+        cls._schema_paths = [
+            (n, f"{section}.{n}") for n in fields if section and annotations[n] == "float"
+        ]
         cls._blank = dict.fromkeys(fields)
         cls._defaults = {n: cls.__dict__[n] for n in fields if n in cls.__dict__}
         # the field values, compared and hashed (a bare value for one field)
@@ -52,6 +63,10 @@ class Record:
         if args or len(kwargs) != len(values) or len(values) != len(self._fields):
             values = self._bind(args, kwargs)
         object.__setattr__(self, "__dict__", values)
+        if self._schema_paths:
+            from .config import check_field  # config imports the record modules
+            for name, path in self._schema_paths:
+                check_field(path, values[name])
         self.__post_init__()
 
     @classmethod

@@ -29,16 +29,10 @@ class PowerLawPathLoss(Record):
     diverge otherwise.
     """
 
+    _schema_section = "pathloss"
+
     k0: float
     alpha: float
-
-    def __post_init__(self) -> None:
-        if not self.k0 > 0.0:
-            raise ValueError("k0 must be positive")
-        if not self.alpha > 2.0:
-            raise ValueError(
-                "alpha must exceed 2 for planar interference integrals to converge"
-            )
 
 
 class TabulatedPathLoss(Record):

@@ -70,17 +70,11 @@ class OptimalityViolation(AssertionError):
 class DeploymentField(Record):
     """Poisson deployment: density, activity, and the outage cap."""
 
+    _schema_section = "field"
+
     density_per_m2: float
     activity_prob: float
     outage_max: float
-
-    def __post_init__(self) -> None:
-        if not self.density_per_m2 > 0.0:
-            raise ValueError("density_per_m2 must be positive")
-        if not 0.0 < self.activity_prob <= 1.0:
-            raise ValueError("activity_prob must lie in (0, 1]")
-        if not 0.0 < self.outage_max < 0.5:
-            raise ValueError("outage_max must lie in (0, 0.5)")
 
     @property
     def active_density_per_m2(self) -> float:

@@ -42,15 +42,11 @@ class SecondaryUser(Record):
     (the radar-into-WiFi path), never on top of its EIRP.
     """
 
+    _schema_section = "su"
+
     eirp_w: float
     bandwidth_hz: float
     antenna_gain_dbi: float
-
-    def __post_init__(self) -> None:
-        if not self.eirp_w > 0.0:
-            raise ValueError("eirp_w must be positive")
-        if not self.bandwidth_hz > 0.0:
-            raise ValueError("bandwidth_hz must be positive")
 
 
 class InterferenceBudget(Record):

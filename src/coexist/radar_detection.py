@@ -30,6 +30,8 @@ class RadarSystem(Record):
     in azimuth).
     """
 
+    _schema_section = "radar"
+
     tx_power_w: float
     wavelength_m: float
     peak_gain_dbi: float
@@ -43,20 +45,6 @@ class RadarSystem(Record):
     system_loss_db: float
 
     def __post_init__(self) -> None:
-        positive = (
-            ("tx_power_w", self.tx_power_w),
-            ("wavelength_m", self.wavelength_m),
-            ("prf_hz", self.prf_hz),
-            ("pulse_width_s", self.pulse_width_s),
-            ("if_bandwidth_hz", self.if_bandwidth_hz),
-            ("ambient_temp_k", self.ambient_temp_k),
-            ("scan_time_s", self.scan_time_s),
-        )
-        for name, value in positive:
-            if not value > 0.0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if not 0.0 < self.scan_solid_angle_sr <= 4.0 * math.pi:
-            raise ValueError("scan_solid_angle_sr must lie in (0, 4*pi]")
         if not self.pulse_width_s * self.prf_hz < 1.0:
             raise ValueError("duty cycle pulse_width_s * prf_hz must stay below 1")
 

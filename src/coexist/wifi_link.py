@@ -78,18 +78,12 @@ class WifiLink(Record):
     enters only on the radar-interference receive path.
     """
 
+    _schema_section = "wifi"
+
     link_loss_db: float
     su: SecondaryUser
     rx_noise_figure_db: float
     rx_bandwidth_hz: float
-
-    def __post_init__(self) -> None:
-        if not self.link_loss_db > 0.0:
-            raise ValueError("link_loss_db must be positive")
-        if self.rx_noise_figure_db < 0.0:
-            raise ValueError("rx_noise_figure_db must be non-negative")
-        if not self.rx_bandwidth_hz > 0.0:
-            raise ValueError("rx_bandwidth_hz must be positive")
 
 
 def wifi_noise_w(link: WifiLink) -> float:

@@ -459,6 +459,12 @@ def test_cli_import_does_not_load_scipy():
     assert _fresh_interpreter(code).strip() == "False False"
 
 
+def test_importing_coexist_reads_no_schema():
+    # the schema is read and compiled on first use: by a load, an override or a record
+    code = "import coexist, coexist.config as c; print(c._load_schema.cache_info().currsize)"
+    assert _fresh_interpreter(code).strip() == "0"
+
+
 LEAN_IMPORT = """
 import json, sys
 import coexist.cli
@@ -549,7 +555,7 @@ def test_work_over_the_cap_exits_3(tmp_path, capsys, monkeypatch, caps, samples,
                "--out", str(out)])
     assert rc == 3
     assert f"error: {field}:" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("margin, rc", [(1.01, 0), (0.99, 3)])
@@ -601,7 +607,7 @@ def test_analytic_work_over_the_cap_exits_3(
     out = tmp_path / "o"
     assert main([command, "--config", str(config), "--out", str(out)]) == 3
     assert f"error: {field}:" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_analytic_cap_admits_work_at_the_cap(tmp_path, monkeypatch):
@@ -640,7 +646,7 @@ def test_density_sweep_counts_the_solves_of_each_point(
     )
     if per_point > 1:
         assert f"(9 points x {per_point} solves)" in err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_density_sweep_at_the_cap_runs(tmp_path, monkeypatch):
@@ -675,6 +681,39 @@ def test_overrides_leave_the_scenario_as_loaded(tmp_path):
         k: v for k, v in before.items() if k != "mc"
     }
     assert _summary(tmp_path / "o")["config"] == echo
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_every_zero_exit_runs_echo_replays_to_the_same_files(tmp_path):
+    options = {"none": [], "seed": ["--seed", "7", "--samples", "300"], "json": ["--format", "json"]}
+    replayed = 0
+    for command in cli._COMMANDS:
+        for base in ("type_b_radar", "wifi_sharing"):
+            for name, extra in options.items():
+                out = tmp_path / f"{command}-{base}-{name}"
+                if main([command, "--config", base, "--out", str(out), *extra]) != 0:
+                    assert not out.exists()
+                    continue
+                echo = tmp_path / f"{out.name}.json"
+                echo.write_text(json.dumps(_summary(out)["config"]))
+                again = tmp_path / f"{out.name}-again"
+                assert main([command, "--config", str(echo), "--out", str(again)]) == 0
+                assert _files(again) == _files(out), out.name
+                replayed += 1
+    assert replayed == 21
+
+
+@pytest.mark.parametrize("command", ["imax", "protect-single", "throughput"])
+def test_an_override_that_makes_a_section_partial_exits_3(tmp_path, capsys, command):
+    # wifi_sharing has no mc section: its echo would hold mc: {seed, samples}, no scenario
+    out = tmp_path / "o"
+    argv = [command, "--config", "wifi_sharing", "--out", str(out)]
+    assert main([*argv, "--seed", "7", "--samples", "300"]) == 3
+    assert capsys.readouterr().err == "error: mc: 'outer_radius_m' is a required property\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -781,7 +820,7 @@ def test_fit_pathloss_needs_tabulated_data(tmp_path, capsys):
     rc = main(["fit-pathloss", "--config", "type_b_radar", "--out", str(out)])
     assert rc == 4
     assert "tabulated" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_single_user_policy_rejected_for_field_study(tmp_path, capsys):
@@ -839,7 +878,7 @@ def test_runs_read_the_roc_pair_the_load_built(tmp_path, monkeypatch):
 def test_failed_run_removes_partial_outputs(tmp_path, capsys, monkeypatch):
     # the contour table is written before the density sweep runs; a solver
     # that fails on the sweep's first point must fail the run AND remove the
-    # table that was already on disk
+    # table that was already on disk, and the directory the run made for it
     solve, calls = cli.optimize_beta, []
 
     def fail_on_second_call(*args, **kwargs):
@@ -854,8 +893,30 @@ def test_failed_run_removes_partial_outputs(tmp_path, capsys, monkeypatch):
     assert rc == 5
     assert len(calls) == 2
     assert "solver failed on its second call" in capsys.readouterr().err
-    assert out.is_dir()
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+    # failing the same way in an earlier run's directory leaves its files as they were
+    assert main(["detect", "--config", "type_b_radar", "--out", str(out)]) == 0
+    before = _files(out)
+    calls.clear()
+    assert main(["protect-multi", "--config", "type_b_radar", "--out", str(out)]) == 5
+    assert _files(out) == before
+
+
+def test_failed_run_removes_the_directories_it_made(tmp_path, capsys):
+    # validate-mc on a tabulated model fails inside the command, after --out is made
+    def tabulate(cfg):
+        cfg["pathloss"] = {"type": "tabulated", "samples": [[100.0, -40.0], [1000.0, -70.0]]}
+
+    config = _variant(tmp_path, "type_b_radar", tabulate)
+    out = tmp_path / "o2" / "deep"
+    assert main(["validate-mc", "--config", str(config), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: pathloss.type: ")
+    assert not (tmp_path / "o2").exists()
+
+    (tmp_path / "o2").mkdir()
+    assert main(["validate-mc", "--config", str(config), "--out", str(out)]) == 3
+    assert list((tmp_path / "o2").iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -895,7 +956,7 @@ def test_density_sweep_overflow_names_the_sweep(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: sweeps.density_per_m2: ")
     assert "at a density of 1.0 per m2" in err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -1110,7 +1171,7 @@ def test_zero_interference_budget_exits_3_for_field_policies(
     rc = main([command, "--config", str(config), "--out", str(out), "--policy", policy])
     assert rc == 3
     assert capsys.readouterr().err.startswith("error: detection.degraded: ")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_zero_interference_budget_keeps_out_everywhere_for_one_user(tmp_path):
@@ -1328,7 +1389,8 @@ NON_FINITE = re.compile(r"(?<![\w.])-?(inf|nan)(?!\w)")
         (("radar", "tx_power_w"), 1e8, "greater than the maximum of 100000000.0"),
         (("radar", "frequency_hz"), 1e6, "less than the minimum of 1000000.0"),
         (("radar", "frequency_hz"), 3e12, "greater than the maximum of 3000000000000.0"),
-        (("radar", "wavelength_m"), 1e-4, "less than the minimum of 0.0001"),
+        (("radar", "wavelength_m"), 299792458.0 / 3e12,
+         "less than the minimum of 9.993081933333333e-05"),
         (("radar", "wavelength_m"), 300.0, "greater than the maximum of 300"),
         (("radar", "scan_time_s"), 3600.0, "greater than the maximum of 3600"),
         (("radar", "ambient_temp_k"), 1e4, "greater than the maximum of 10000.0"),
@@ -1387,7 +1449,7 @@ def test_alpha_near_2_exits_3(tmp_path, capsys, command, base, policy, alpha):
     rc = main([command, "--config", str(config), "--out", str(out), "--policy", policy])
     assert rc == 3
     assert capsys.readouterr().err.startswith("error: pathloss.alpha: ")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_wifi_section_without_su_distance_exits_3(tmp_path, capsys):
@@ -1414,4 +1476,4 @@ def test_outer_radius_too_small_exits_3(tmp_path, capsys, radius, words):
     err = capsys.readouterr().err
     assert err.startswith("error: mc.outer_radius_m: ")
     assert words in err
-    assert list(out.iterdir()) == []
+    assert not out.exists()

@@ -108,6 +108,17 @@ def test_explicit_wavelength(tmp_path):
     assert scenario.radar.wavelength_m == 0.107068735
 
 
+@pytest.mark.parametrize(
+    "frequency_hz, wavelength_m", [(1e6, 299.792458), (3e12, 9.993081933333333e-05)]
+)
+def test_each_frequency_bound_gives_an_accepted_wavelength(tmp_path, frequency_hz, wavelength_m):
+    # the radar record checks the wavelength derived from frequency_hz, so
+    # both ends of the frequency band must map inside wavelength_m's bounds
+    doc = _variant()
+    doc["radar"]["frequency_hz"] = frequency_hz
+    assert load_scenario(_write(tmp_path, doc)).radar.wavelength_m == wavelength_m
+
+
 def test_tabulated_pathloss_inline(tmp_path):
     doc = _variant(pathloss={
         "type": "tabulated",

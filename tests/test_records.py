@@ -5,13 +5,16 @@ one is built by keyword and by position, with its defaults, and with a
 missing, unknown or repeated field; each validation message is checked by
 construction and through ``replace``.  Records refuse assignment and
 deletion, equal ones hash equal, and ``repr`` prints ``Name(field=value, ...)``.
+The records bound to a schema section accept a field value exactly when
+``config.check_field`` does, and refuse it in the same words.
 """
 
 import math
 
+import numpy as np
 import pytest
 
-from coexist.config import Scenario, load_scenario
+from coexist.config import Scenario, ValidationError, _load_schema, check_field, load_scenario
 from coexist.numerics import Record, RootBracket
 from coexist.propagation import (
     AntennaPattern,
@@ -47,7 +50,8 @@ RADAR = {
 }
 _SCENARIO = load_scenario("type_b_radar")
 
-# one valid record per class, its fields in declaration order
+# one valid record per class, its fields in declaration order; the bound
+# records' values are the bundled fixtures'
 SAMPLES = {
     RootBracket: {"lo": 0.0, "hi": 1.0, "tol_rel": 1e-12, "max_iter": 200},
     PowerLawPathLoss: {"k0": 259.0, "alpha": 3.97},
@@ -70,7 +74,7 @@ SAMPLES = {
     OptimalityReport: {"n_trials": 100, "worst_area_reduction": 0.0, "tolerance": 1e-3},
     McsTable: {"entries": DEFAULT_80211N.entries},
     WifiLink: {
-        "link_loss_db": 80.0, "su": SecondaryUser(**SU), "rx_noise_figure_db": 7.0,
+        "link_loss_db": 80.0, "su": SecondaryUser(**SU), "rx_noise_figure_db": 8.0,
         "rx_bandwidth_hz": 20e6,
     },
     Scenario: {name: getattr(_SCENARIO, name) for name in Scenario.__annotations__},
@@ -83,9 +87,9 @@ INVALID = [
     (RootBracket, {"hi": 0.0}, "bracket requires lo < hi, got [0.0, 0.0]"),
     (RootBracket, {"tol_rel": 0.0}, "tol_rel must be positive"),
     (RootBracket, {"max_iter": 0}, "max_iter must be at least 1"),
-    (PowerLawPathLoss, {"k0": 0.0}, "k0 must be positive"),
+    (PowerLawPathLoss, {"k0": 0.0}, "pathloss.k0: 0.0 is less than the minimum of 1e-30"),
     (PowerLawPathLoss, {"alpha": 2.0},
-     "alpha must exceed 2 for planar interference integrals to converge"),
+     "pathloss.alpha: 2.0 is less than or equal to the minimum of 2"),
     (TabulatedPathLoss, {"distances_m": (100.0,)},
      "need matching distance/attenuation lists, length >= 2"),
     (TabulatedPathLoss, {"distances_m": (0.0, 1000.0)},
@@ -100,14 +104,23 @@ INVALID = [
      "attenuations must be strictly decreasing"),
     (AntennaPattern, {"gmax_dbi": 48.0},
      "statistical pattern is defined for 22 < gmax_dbi < 48, got 48.0"),
-    (SecondaryUser, {"eirp_w": 0.0}, "eirp_w must be positive"),
-    (SecondaryUser, {"bandwidth_hz": -1.0}, "bandwidth_hz must be positive"),
+    (SecondaryUser, {"eirp_w": 0.0}, "su.eirp_w: 0.0 is less than the minimum of 1e-15"),
+    (SecondaryUser, {"bandwidth_hz": -1.0},
+     "su.bandwidth_hz: -1.0 is less than or equal to the minimum of 0"),
     *[
-        (RadarSystem, {name: 0.0}, f"{name} must be positive, got 0.0")
-        for name in ("tx_power_w", "wavelength_m", "prf_hz", "pulse_width_s",
-                     "if_bandwidth_hz", "ambient_temp_k", "scan_time_s")
+        (RadarSystem, {name: 0.0}, f"radar.{name}: 0.0 is less than {minimum}")
+        for name, minimum in (
+            ("tx_power_w", "or equal to the minimum of 0"),
+            ("wavelength_m", "the minimum of 9.993081933333333e-05"),
+            ("prf_hz", "or equal to the minimum of 0"),
+            ("pulse_width_s", "or equal to the minimum of 0"),
+            ("if_bandwidth_hz", "the minimum of 1"),
+            ("ambient_temp_k", "the minimum of 1"),
+            ("scan_time_s", "or equal to the minimum of 0"),
+        )
     ],
-    (RadarSystem, {"scan_solid_angle_sr": 13.0}, "scan_solid_angle_sr must lie in (0, 4*pi]"),
+    (RadarSystem, {"scan_solid_angle_sr": 13.0},
+     "radar.scan_solid_angle_sr: 13.0 is greater than the maximum of 12.566370614359172"),
     (RadarSystem, {"prf_hz": 1e6},
      "duty cycle pulse_width_s * prf_hz must stay below 1"),
     (Target, {"range_m": 0.0}, "range_m must be positive"),
@@ -117,9 +130,12 @@ INVALID = [
     (RocPoint, {"pfa": 0.7}, "Albersheim relation requires pfa <= 0.62"),
     (RocPoint, {"pd": 0.3, "pfa": 0.2},
      "Albersheim relation gives no positive SNR at pd=0.3, pfa=0.2"),
-    (DeploymentField, {"density_per_m2": 0.0}, "density_per_m2 must be positive"),
-    (DeploymentField, {"activity_prob": 1.5}, "activity_prob must lie in (0, 1]"),
-    (DeploymentField, {"outage_max": 0.7}, "outage_max must lie in (0, 0.5)"),
+    (DeploymentField, {"density_per_m2": 0.0},
+     "field.density_per_m2: 0.0 is less than or equal to the minimum of 0"),
+    (DeploymentField, {"activity_prob": 1.5},
+     "field.activity_prob: 1.5 is greater than the maximum of 1"),
+    (DeploymentField, {"outage_max": 0.7},
+     "field.outage_max: 0.7 is greater than or equal to the maximum of 0.5"),
     (OptimalPolicy, {"gamma": 0.0}, "gamma must be positive"),
     (OptimalPolicy, {"alpha": 2.0}, "alpha must exceed 2"),
     (RadarBlindPolicy, {"d_min_m": 0.0}, "d_min_m must be positive"),
@@ -132,9 +148,11 @@ INVALID = [
     (McsTable, {"entries": (McsEntry(0, "BPSK", "1/2", 6.5, 4.5),
                             McsEntry(1, "QPSK", "1/2", 6.5, 6.5))},
      "data_rate_mbps must be strictly increasing"),
-    (WifiLink, {"link_loss_db": 0.0}, "link_loss_db must be positive"),
-    (WifiLink, {"rx_noise_figure_db": -1.0}, "rx_noise_figure_db must be non-negative"),
-    (WifiLink, {"rx_bandwidth_hz": 0.0}, "rx_bandwidth_hz must be positive"),
+    (WifiLink, {"link_loss_db": 0.0},
+     "wifi.link_loss_db: 0.0 is less than or equal to the minimum of 0"),
+    (WifiLink, {"rx_noise_figure_db": -1.0},
+     "wifi.rx_noise_figure_db: -1.0 is less than the minimum of 0"),
+    (WifiLink, {"rx_bandwidth_hz": 0.0}, "wifi.rx_bandwidth_hz: 0.0 is less than the minimum of 1"),
 ]
 
 
@@ -249,3 +267,86 @@ def test_repr_keeps_the_dataclass_format(cls):
     fields = ", ".join(f"{name}={value!r}" for name, value in kwargs.items())
     assert repr(cls(**kwargs)) == f"{cls.__qualname__}({fields})"
     assert repr(RootBracket(0.0, 1.0)) == "RootBracket(lo=0.0, hi=1.0, tol_rel=1e-12, max_iter=200)"
+
+
+# ------------------------------------------------------- schema-bound records
+
+BOUND = [PowerLawPathLoss, SecondaryUser, RadarSystem, DeploymentField, WifiLink]
+BOUND_FIELDS = [(cls, name) for cls in BOUND for name, _ in cls._schema_paths]
+
+
+def _section(cls):
+    return _load_schema()["properties"][cls._schema_section]["properties"]
+
+
+def test_bound_records_check_every_field_their_section_names():
+    assert [cls for cls in SAMPLES if cls._schema_paths] == BOUND
+    for cls in BOUND:
+        assert [name for name, _ in cls._schema_paths] == [
+            name for name in cls._fields if name in _section(cls)
+        ]
+
+
+def _probes(node, fixture_value):
+    """Each bound and its +-1 ulp neighbours, extremes, non-numbers, and their np.float64."""
+    values = [fixture_value, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+              1e-300, -1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan, 1, True]
+    for key in ("minimum", "exclusiveMinimum", "maximum", "exclusiveMaximum"):
+        if key in node:
+            bound = float(node[key])
+            values += [node[key], bound, math.nextafter(bound, -math.inf),
+                       math.nextafter(bound, math.inf)]
+    return values + [np.float64(v) for v in values if isinstance(v, float)]
+
+
+def _refusal(call):
+    try:
+        call()
+    except ValueError as exc:
+        return exc
+    return None
+
+
+@pytest.mark.parametrize(
+    "cls, name", BOUND_FIELDS, ids=[f"{c.__name__}-{n}" for c, n in BOUND_FIELDS]
+)
+def test_a_bound_record_accepts_a_value_iff_the_schema_does(cls, name):
+    base = SAMPLES[cls]
+    path = f"{cls._schema_section}.{name}"
+    for value in _probes(_section(cls)[name], base[name]):
+        expected = _refusal(lambda: check_field(path, value))
+        got = _refusal(lambda: cls(**{**base, name: value}))
+        if expected is None and cls is RadarSystem and name in ("prf_hz", "pulse_width_s"):
+            # the duty cycle is the one check across fields
+            other = base["pulse_width_s" if name == "prf_hz" else "prf_hz"]
+            if not value * other < 1.0:
+                assert str(got) == "duty cycle pulse_width_s * prf_hz must stay below 1"
+                continue
+        assert type(got) is type(expected), (value, got)
+        assert str(got) == str(expected), value
+
+
+@pytest.mark.parametrize(
+    "cls, name, value",
+    [
+        (RadarSystem, "tx_power_w", 1.7e308),
+        (RadarSystem, "ambient_temp_k", 1e300),
+        (RadarSystem, "noise_figure_db", 2999.0),
+        (SecondaryUser, "antenna_gain_dbi", 3000.0),
+        (DeploymentField, "density_per_m2", 1e6),
+        (WifiLink, "rx_bandwidth_hz", 0.5),
+    ],
+)
+def test_records_refuse_what_the_cli_refuses_in_its_words(cls, name, value):
+    # each was accepted by the record while the scenario loader refused it
+    path = f"{cls._schema_section}.{name}"
+    with pytest.raises(ValidationError) as expected:
+        check_field(path, value)
+    with pytest.raises(ValidationError) as got:
+        cls(**{**SAMPLES[cls], name: value})
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith(f"{path}: {value!r} is ")
+    inside = np.float64(SAMPLES[cls][name])
+    assert getattr(cls(**{**SAMPLES[cls], name: inside}), name) is inside
+    check_field(path, inside)
+
