@@ -44,7 +44,7 @@ from __future__ import annotations
 import importlib.util
 from typing import NamedTuple
 
-import numpy as np
+from .numerics import np
 
 BLOCK_POINTS = 1 << 16  # expected points per block
 SLICE_POINTS = 1 << 18  # most points the kernel holds at once

@@ -23,8 +23,6 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Sequence
 
-import numpy as np
-
 from . import __version__
 from .config import (
     MissingSection,
@@ -41,6 +39,7 @@ from .numerics import (
     fit_power_law,
     linear_to_db,
     log_log_r_squared,
+    np,
     q_inverse,
 )
 from .propagation import (
@@ -104,10 +103,17 @@ EXIT_CODES = ((ParseError, 2), (ValidationError, 3), (MissingSection, 4), (Excep
 
 POLICY_CHOICES = ("optimal", "radar-blind", "main-side-lobe", "single-user")
 
-# The half-degree azimuth grid of the default protect-single table and of the
-# protect-multi contour.  Read-only, so its CSV text can be built once.
-AZIMUTH_GRID_DEG = np.linspace(-180.0, 180.0, 721)
-AZIMUTH_GRID_DEG.flags.writeable = False
+
+@functools.cache
+def azimuth_grid_deg() -> np.ndarray:
+    """The read-only half-degree azimuth grid, 721 points from -180 to 180.
+
+    The default protect-single table and the protect-multi contour share it;
+    being read-only, its CSV text can be built once.
+    """
+    grid = np.linspace(-180.0, 180.0, 721)
+    grid.flags.writeable = False
+    return grid
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -169,8 +175,12 @@ def _json_text(obj: Any, newline: str = "\n") -> str:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
+# cells that are no numpy scalar, told apart without loading numpy
+_PLAIN_CELLS = frozenset((str, float, int, bool, type(None)))
+
+
 def _format_cell(value: Any) -> str:
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
+    if type(value) not in _PLAIN_CELLS and isinstance(value, (np.floating, np.integer, np.bool_)):
         value = value.item()
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -181,29 +191,30 @@ def _format_cell(value: Any) -> str:
 
 @functools.cache
 def _azimuth_grid_text() -> tuple[str, ...]:
-    return tuple(map(float.__repr__, AZIMUTH_GRID_DEG.tolist()))
+    return tuple(map(float.__repr__, azimuth_grid_deg().tolist()))
 
 
 def _column_text(column: Sequence[Any], float_text: Callable, cell_text: Callable) -> Any:
     """``cell_text`` over one column, with the same text by cheaper routes.
 
     ``float_text`` must agree with ``cell_text`` on a Python float.  The
-    finite ``AZIMUTH_GRID_DEG`` itself (by identity) is formatted once per
+    finite ``azimuth_grid_deg()`` itself (by identity) is formatted once per
     process, any other 1-D float64 array once per distinct bit pattern
     (contours repeat a few dozen values over 721 rows; bit patterns keep -0.0
     apart from 0.0).  An all-float list skips the per-cell call.
     """
-    if column is AZIMUTH_GRID_DEG:
-        return _azimuth_grid_text()
-    if isinstance(column, np.ndarray):
-        if column.dtype == np.float64 and column.ndim == 1:
-            # np.unique(keys, return_inverse=True), without its Python overhead
-            keys = column.view(np.int64)
-            ordered = np.sort(keys)
-            bits = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
-            text = list(map(float_text, bits.view(np.float64).tolist()))
-            return np.array(text, dtype=object)[np.searchsorted(bits, keys)].tolist()
-        column = column.tolist()
+    if type(column) is not list and type(column) is not tuple:  # naming np loads numpy
+        if column is azimuth_grid_deg():
+            return _azimuth_grid_text()
+        if isinstance(column, np.ndarray):
+            if column.dtype == np.float64 and column.ndim == 1:
+                # np.unique(keys, return_inverse=True), without its Python overhead
+                keys = column.view(np.int64)
+                ordered = np.sort(keys)
+                bits = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+                text = list(map(float_text, bits.view(np.float64).tolist()))
+                return np.array(text, dtype=object)[np.searchsorted(bits, keys)].tolist()
+            column = column.tolist()
     if set(map(type, column)) <= {float}:
         return map(float_text, column)
     return map(cell_text, column)
@@ -504,7 +515,7 @@ def _cmd_protect_single(
         spec = scenario.sweeps["theta_deg"]
         grid = np.array(resolve_grid(spec, "sweeps.theta_deg"))
     else:
-        grid = AZIMUTH_GRID_DEG
+        grid = azimuth_grid_deg()
     gains_dbi = gain_dbi(scenario.pattern, grid)
     distances = distance_at_gain(
         scenario.su, scenario.pathloss, budget, db_to_linear(gains_dbi), fdr
@@ -563,7 +574,7 @@ def _cmd_protect_multi(
     tracker.table(
         "protect_multi_contour",
         ("theta_deg", "distance_m"),
-        (AZIMUTH_GRID_DEG, profile(np.radians(AZIMUTH_GRID_DEG))),
+        (azimuth_grid_deg(), profile(np.radians(azimuth_grid_deg()))),
     )
 
     if grid is not None:

@@ -20,10 +20,8 @@ import math
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
-import numpy as np
-
 from ._schema import Validator, compile_schema, integer_paths
-from .numerics import Record, db_to_linear
+from .numerics import Record, db_to_linear, np
 from .propagation import (
     AntennaPattern,
     ConstantGain,
@@ -258,6 +256,10 @@ def load_scenario(path: str | Path) -> Scenario:
     )
 
 
+# values that are no numpy scalar, told apart without loading numpy
+_PLAIN_TYPES = frozenset((float, int, bool, str, type(None)))
+
+
 def check_field(path: str, value: Any) -> None:
     """Validate one value against the schema entry at dotted ``path``.
 
@@ -265,11 +267,14 @@ def check_field(path: str, value: Any) -> None:
     fields of the records bound to a section; a numpy scalar is checked as
     the Python number it holds.
     """
-    if isinstance(value, np.generic):
+    if type(value) not in _PLAIN_TYPES and isinstance(value, np.generic):
         value = value.item()
     validator = _validator(path)
     if not validator.is_valid(value):  # one predicate call for each record field of a load
         raise ValidationError(f"{path}: {validator.first_error(value)[1]}")
+
+
+Record._check_field = staticmethod(check_field)  # bound once, not imported per record
 
 
 def check_analytic_work(path: str, points: int, steps: int = 1, unit: str = "time steps") -> None:

@@ -7,16 +7,43 @@ The Gaussian tail pair comes from the standard library (``math.erfc``,
 to the last bit.  The contour scale of the field policies is a Newton solve
 (``protection_multi._constraint``) that falls back on it only if
 its steps do not settle; the tests use it as an independent reference.
+
+``np`` is the package's one numpy handle, and every module takes numpy
+from here.  numpy is loaded at its first attribute access, not by
+``import coexist``: loading a scenario and the commands that compute
+without arrays never pay for it.  An ``import numpy`` statement in the
+package would load it at once, since the import system reads the
+module's ``__spec__``; so would ``isinstance(np, ...)``, which reads its
+``__class__``.  The first access takes no lock on older CPythons (3.11
+among them), so a thread pool touches ``np`` before it starts its workers.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
+import sys
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Sequence, Tuple
 
-import numpy as np
+
+def _lazy_numpy():
+    """numpy if it is imported, else a module in its place that loads it at first use."""
+    imported = sys.modules.get("numpy")
+    if imported is not None:
+        return imported
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module  # a later ``import numpy`` gets this module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,11 +64,14 @@ class Record:
     A subclass that names a scenario-schema section in ``_schema_section`` is
     bound to it: before ``__post_init__``, each of its ``float`` fields is
     checked against the section's key of the same name by
-    ``config.check_field``, which raises the CLI's ``ValidationError``.
+    ``config.check_field``, which raises the CLI's ``ValidationError``;
+    ``config`` sets ``_check_field`` when it is imported, since it imports
+    the record modules.
     """
 
     _fields: Tuple[str, ...] = ()
     _schema_section = ""
+    _check_field: Callable[[str, Any], None]
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
@@ -64,7 +94,7 @@ class Record:
             values = self._bind(args, kwargs)
         object.__setattr__(self, "__dict__", values)
         if self._schema_paths:
-            from .config import check_field  # config imports the record modules
+            check_field = self._check_field
             for name, path in self._schema_paths:
                 check_field(path, values[name])
         self.__post_init__()

@@ -12,9 +12,7 @@ from __future__ import annotations
 import math
 from typing import Sequence, Tuple, Union
 
-import numpy as np
-
-from .numerics import Record, db_to_linear
+from .numerics import Record, db_to_linear, np
 
 INFINITE_REJECTION = float("inf")
 """Sentinel returned by fdr_general when the victim filter passes nothing."""
@@ -61,7 +59,7 @@ class TabulatedPathLoss(Record):
 
 
 PathLossModel = Union[PowerLawPathLoss, TabulatedPathLoss]
-FloatOrArray = Union[float, np.ndarray]
+FloatOrArray = Union[float, "np.ndarray"]
 
 
 def _log_log_interp(

@@ -20,15 +20,14 @@ design equations.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable, Sequence, Tuple, Union
-
-import numpy as np
 
 from .numerics import (
     TWO_PI,
     Record,
     RootBracket,
+    np,
     periodic_rule,
     q_inverse,
     q_tail,
@@ -158,16 +157,23 @@ def default_lobe_width_rad(pattern: Pattern) -> float:
 
 
 N_PANELS = 4096  # the one azimuth grid: dozens of panels across the main lobe
-AZIMUTHS_RAD = np.linspace(0.0, TWO_PI, N_PANELS, endpoint=False)
-AZIMUTHS_RAD.setflags(write=False)
+
+
+@cache
+def azimuths_rad() -> np.ndarray:
+    """The one azimuth grid: ``N_PANELS`` read-only azimuths over [0, 2*pi), in radians."""
+    theta = np.linspace(0.0, TWO_PI, N_PANELS, endpoint=False)
+    theta.setflags(write=False)
+    return theta
 
 
 @lru_cache(maxsize=32)
 def gain_grid(pattern: Pattern) -> Tuple[np.ndarray, np.ndarray]:
-    """Cached read-only (theta, linear gain) on ``AZIMUTHS_RAD``, the one azimuth grid."""
-    gains = gain_linear_array(pattern, AZIMUTHS_RAD)
+    """Cached read-only (theta, linear gain) on ``azimuths_rad()``, the one azimuth grid."""
+    theta = azimuths_rad()
+    gains = gain_linear_array(pattern, theta)
     gains.setflags(write=False)
-    return AZIMUTHS_RAD, gains
+    return theta, gains
 
 
 def policy_profile(

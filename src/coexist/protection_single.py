@@ -16,9 +16,7 @@ from __future__ import annotations
 import math
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
-from .numerics import Record, linear_to_db
+from .numerics import Record, linear_to_db, np
 from .propagation import (
     FloatOrArray,
     PathLossModel,

@@ -14,9 +14,7 @@ from __future__ import annotations
 import math
 from typing import List, NamedTuple, Tuple
 
-import numpy as np
-
-from .numerics import Record, db_to_linear, linear_to_db
+from .numerics import Record, db_to_linear, linear_to_db, np
 from .propagation import Pattern, PathLossModel, attenuation, gain_linear, gain_linear_array
 from .protection_single import SecondaryUser
 from .protection_multi import (

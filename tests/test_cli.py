@@ -444,19 +444,92 @@ def test_non_finite_number_exits_3(tmp_path, capsys, value):
     assert "field.density_per_m2" in capsys.readouterr().err
 
 
-def _fresh_interpreter(code):
-    """Stdout of ``code`` run by a fresh interpreter that imports this checkout's coexist."""
+def _fresh_interpreter(code, *args):
+    """Stdout of ``code``, argv ``args``, in a fresh interpreter on this checkout's coexist."""
     src = str(Path(coexist.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
     ).stdout
 
 
-def test_cli_import_does_not_load_scipy():
-    code = "import sys, coexist.cli; print('scipy' in sys.modules, 'numba' in sys.modules)"
-    assert _fresh_interpreter(code).strip() == "False False"
+# the modules a run loads only if it computes on arrays (numpy) or never (scipy, numba)
+NUMPY_FREE_RUNS = """
+import json, sys
+from coexist import cli
+out, invalid = sys.argv[1:]
+runs = [
+    ("detect", "type_b_radar"), ("imax", "type_b_radar"), ("imax", "wifi_sharing"),
+    ("detect", out + "/missing.json"), ("imax", invalid), ("detect", "wifi_sharing"),
+]
+codes = [
+    cli.main([cmd, "--config", cfg, "--out", f"{out}/{i}"]) for i, (cmd, cfg) in enumerate(runs)
+]
+heavy = [name for name in ("numpy._core", "scipy", "numba") if name in sys.modules]
+cli.main(["protect-single", "--config", "type_b_radar", "--out", out + "/protect-single"])
+print(json.dumps({"codes": codes, "heavy": heavy, "numpy_later": "numpy._core" in sys.modules}))
+"""
+
+
+def test_detect_imax_and_failed_runs_never_load_numpy(tmp_path):
+    # numpy is loaded at its first use, and these runs compute without arrays;
+    # protect-single does use it, so the check is not vacuous
+    def invalid(cfg):
+        cfg["radar"]["tx_power_w"] = -1.0
+
+    config = _variant(tmp_path, "type_b_radar", invalid)
+    loaded = json.loads(_fresh_interpreter(NUMPY_FREE_RUNS, str(tmp_path), str(config)))
+    assert loaded == {"codes": [0, 0, 0, 2, 3, 4], "heavy": [], "numpy_later": True}
+
+
+def test_the_numpy_handle_is_numpy_itself():
+    code = (
+        "import sys, coexist; lazy = 'numpy._core' not in sys.modules\n"
+        "import numpy\n"
+        "from coexist.numerics import np\n"
+        "print(lazy, np is numpy is sys.modules['numpy'], np.arange(3).sum(), type(np).__name__)"
+    )
+    assert _fresh_interpreter(code).split() == ["True", "True", "3", "module"]
+
+
+def test_numpy_imported_first_is_the_handle():
+    code = (
+        "import importlib.util, numpy, coexist\n"
+        "print(coexist.numerics.np is numpy, type(numpy).__name__,\n"
+        "      isinstance(numpy.__spec__.loader, importlib.util.LazyLoader))"
+    )
+    assert _fresh_interpreter(code).split() == ["True", "module", "False"]
+
+
+def test_importing_coexist_without_numpy_fails():
+    code = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "try:\n"
+        "    import coexist\n"
+        "except ModuleNotFoundError as exc:\n"
+        "    print(exc.name)"
+    )
+    assert _fresh_interpreter(code).strip() == "numpy"
+
+
+def test_a_numpy_scalar_field_is_checked_as_its_number():
+    # numpy loaded after coexist, by the caller: the README's quick start
+    code = (
+        "import coexist, numpy as np\n"
+        "from coexist import DeploymentField, ValidationError\n"
+        "def refusal(density):\n"
+        "    try:\n"
+        "        DeploymentField(density_per_m2=density, activity_prob=1.0, outage_max=0.1)\n"
+        "    except ValidationError as exc:\n"
+        "        return str(exc)\n"
+        "print(refusal(np.float64(1e-6)))\n"
+        "print(refusal(np.float64(2.0)))\n"
+        "print(refusal(2.0))"
+    )
+    accepted, refused, refused_float = _fresh_interpreter(code).splitlines()
+    assert accepted == "None"
+    assert refused == refused_float == "field.density_per_m2: 2.0 is greater than the maximum of 1"
 
 
 def test_importing_coexist_reads_no_schema():
@@ -471,6 +544,7 @@ import coexist.cli
 from coexist.config import load_scenario
 load_scenario("type_b_radar")
 load_scenario("wifi_sharing")
+modules = sorted(sys.modules)  # before the walk: isinstance reads the numpy handle's __class__
 classes = {
     f"{value.__module__}.{value.__name__}": hasattr(value, "__dataclass_fields__")
     for name, module in list(sys.modules.items())
@@ -478,17 +552,18 @@ classes = {
     for value in vars(module).values()
     if isinstance(value, type) and value.__module__.startswith("coexist")
 }
-print(json.dumps({"modules": sorted(sys.modules), "classes": classes}))
+print(json.dumps({"modules": modules, "classes": classes}))
 """
 
 
 def test_import_and_load_pull_in_no_unneeded_module():
     # the stdlib modules that only one function needs are imported inside it
     # (statistics in q_inverse, argparse in cli._build_parser), the CLI
-    # writes its tables without csv, and the records are not dataclasses,
-    # so none of these is loaded to run a command
+    # writes its tables without csv, the records are not dataclasses and
+    # numpy is loaded at its first use, so none of these is loaded to run a
+    # command
     loaded = json.loads(_fresh_interpreter(LEAN_IMPORT))
-    unneeded = ("dataclasses", "statistics", "decimal", "fractions", "copy", "csv")
+    unneeded = ("dataclasses", "statistics", "decimal", "fractions", "copy", "csv", "numpy._core")
     assert [name for name in unneeded if name in loaded["modules"]] == []
     assert "coexist.config.Scenario" in loaded["classes"]
     assert [name for name, generated in loaded["classes"].items() if generated] == []

@@ -22,7 +22,6 @@ from coexist.propagation import (
     gain_linear_array,
 )
 from coexist.protection_multi import (
-    AZIMUTHS_RAD,
     CampbellStats,
     DeploymentField,
     MainSideLobePolicy,
@@ -31,6 +30,7 @@ from coexist.protection_multi import (
     RadarBlindPolicy,
     TruncationTooSevere,
     _campbell_moments,
+    azimuths_rad,
     campbell_stats,
     default_lobe_width_rad,
     gain_grid,
@@ -305,7 +305,7 @@ def test_protected_area_closed_forms():
     opt = OptimalPolicy(gamma=1e5, alpha=3.97)
     # area of the gamma G^(1/alpha) contour equals its direct integral,
     # int d(theta)^2 / 2 on the azimuth grid
-    d = policy_profile(opt, pattern)(AZIMUTHS_RAD)
+    d = policy_profile(opt, pattern)(azimuths_rad())
     assert_allclose(protected_area_m2(opt, pattern), periodic_rule(d**2) / 2.0, rtol=1e-12)
 
 

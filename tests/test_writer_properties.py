@@ -276,19 +276,21 @@ def test_azimuth_grid_text_is_built_once_and_read_back(tmp_path, command, policy
     assert (info.misses, info.hits) == (1, 1)
     assert texts[0] == texts[1]
     columns, data = _float_table(tmp_path / "first" / f"{table}.csv")
-    assert data[0] == cli.AZIMUTH_GRID_DEG.tolist()
+    assert data[0] == cli.azimuth_grid_deg().tolist()
     assert texts[0] == _reference("csv", columns, data)
 
     cli.run_command(scenario, command, tmp_path / "json", fmt="json", policy=policy)
     payload = json.loads((tmp_path / "json" / f"{table}.json").read_text())
-    assert [row[0] for row in payload["rows"]] == cli.AZIMUTH_GRID_DEG.tolist()
+    assert [row[0] for row in payload["rows"]] == cli.azimuth_grid_deg().tolist()
     assert [row[1:] for row in payload["rows"]] == [list(row[1:]) for row in zip(*data)]
 
 
 def test_azimuth_grid_is_read_only():
+    grid = cli.azimuth_grid_deg()
+    assert cli.azimuth_grid_deg() is grid
     with pytest.raises(ValueError, match="read-only"):
-        cli.AZIMUTH_GRID_DEG[0] = 0.0
-    assert cli.AZIMUTH_GRID_DEG[0] == -180.0
+        grid[0] = 0.0
+    assert grid[0] == -180.0
 
 
 def _files(directory):
