@@ -29,8 +29,10 @@ Writes ``BENCH_<label>.json`` at the repository root with:
   since the policies solve very different numbers of contour scales;
 - ``write_s``: per subcommand and fixture, the time spent inside the CLI's
   output writers, measured in separate runs in which only
-  ``_OutputTracker.table`` and ``.summary`` are wrapped by a clock: their
-  sum, and under ``table`` and ``summary`` each one's own time;
+  ``_OutputTracker.table``, ``.summary`` and ``.write`` are wrapped by a
+  clock: their sum, and under ``table``, ``summary`` and ``write`` each one's
+  own time (``write`` reads 0 for a tree whose ``table`` and ``summary``
+  write their files as they format them);
 - ``commands_json_s`` and ``write_json_s``: the same as ``commands_s`` and
   ``write_s`` with ``fmt="json"``, for the subcommands and fixtures that
   write a table (``TABLE_RUNS``);
@@ -386,12 +388,13 @@ def time_runs(trees, named_runs, repeat, clocked=False, fresh=False):
 
 @contextlib.contextmanager
 def _clocked_writers():
-    """Wrap ``_OutputTracker.table`` and ``.summary``; yields their call times by name."""
+    """Wrap ``_OutputTracker.table``, ``.summary`` and ``.write``; yields their times by name."""
     from coexist.cli import _OutputTracker
 
-    names = ("table", "summary")
+    names = ("table", "summary", "write")
     spent = {name: [] for name in names}
-    originals = {name: getattr(_OutputTracker, name) for name in names}
+    # a writer the tree's _OutputTracker lacks keeps no times
+    originals = {n: getattr(_OutputTracker, n) for n in names if hasattr(_OutputTracker, n)}
 
     def clocked(method, times):
         @functools.wraps(method)

@@ -20,7 +20,6 @@ import os
 import sys
 from itertools import chain, takewhile
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Sequence
 
 from . import __version__
@@ -234,19 +233,17 @@ def _rows_text(cells: List[Any], n_rows: int, sep: str, row_end: str, last_end: 
 
 
 class _OutputTracker:
-    """Writes artifacts and removes everything it wrote if the run fails."""
+    """Formats a run's artifacts and keeps their bytes until ``write`` writes them."""
 
     def __init__(self, out_dir: Path, fmt: str):
         self.out_dir = out_dir
         self.fmt = fmt
-        self.written: List[Path] = []
-        # out_dir and its missing parents, deepest first: the run makes them
-        self.made = list(takewhile(lambda p: not p.is_dir(), chain([out_dir], out_dir.parents)))
+        self.files: Dict[Path, bytes] = {}
 
     def table(
         self, name: str, columns: Sequence[str], data: Sequence[Sequence[Any]]
     ) -> Path:
-        """Write one table given column by column: ``data[j]`` holds column j."""
+        """Keep one table given column by column: ``data[j]`` holds column j."""
         if len(data) != len(columns):
             raise ValueError(f"table {name}: {len(columns)} columns, {len(data)} given")
         if len(set(map(len, data))) > 1:
@@ -265,31 +262,45 @@ class _OutputTracker:
             path = self.out_dir / f"{name}.csv"
             cells = [_column_text(c, float.__repr__, _format_cell) for c in data]
             text = ",".join(columns) + "\n" + _rows_text(cells, n_rows, ",", "\n", "\n")
-        return self._write(path, text)
-
-    def summary(self, payload: Dict[str, Any]) -> Path:
-        return self._write(self.out_dir / "summary.json", _json_text(payload) + "\n")
-
-    def _write(self, path: Path, text: str) -> Path:
-        """``path.write_text(text)`` as UTF-8, by ``os.write`` until every byte is written."""
-        data = memoryview(text.encode())
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-        self.written.append(path)  # cleanup removes it from here on, cut short or not
-        try:
-            while data:
-                data = data[os.write(fd, data):]
-        finally:
-            os.close(fd)
+        self.files[path] = text.encode()
         return path
 
-    def cleanup(self) -> None:
-        for path in self.written:
-            path.unlink(missing_ok=True)
-        for path in self.made:  # each only if empty
-            try:
-                path.rmdir()
-            except OSError:
-                pass
+    def summary(self, payload: Dict[str, Any]) -> Path:
+        path = self.out_dir / "summary.json"
+        self.files[path] = (_json_text(payload) + "\n").encode()
+        return path
+
+    def write(self) -> None:
+        """Make ``out_dir`` and its missing parents, then write each kept file.
+
+        A file is written by ``os.write`` until every byte is written.  On any
+        failure, each file written so far (the one cut short included) and
+        each directory made is removed (deepest first, each only if empty).
+        """
+        out_dir = self.out_dir
+        made = list(takewhile(lambda p: not p.is_dir(), chain([out_dir], out_dir.parents)))
+        written: List[Path] = []
+        try:
+            for path in reversed(made):
+                path.mkdir(exist_ok=True)
+            for path, data in self.files.items():
+                view = memoryview(data)
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+                written.append(path)
+                try:
+                    while view:
+                        view = view[os.write(fd, view):]
+                finally:
+                    os.close(fd)
+        except BaseException:
+            for path in written:
+                path.unlink(missing_ok=True)
+            for path in made:
+                try:
+                    path.rmdir()
+                except OSError:
+                    pass
+            raise
 
 
 # --------------------------------------------------------------------------
@@ -319,12 +330,6 @@ def _power_law(scenario: Scenario, needs: str) -> PowerLawPathLoss:
     if not isinstance(model, PowerLawPathLoss):
         raise ValidationError(f"pathloss.type: {needs} needs a power-law model")
     return model
-
-
-def _policy_config(scenario: Scenario, override: str | None) -> Dict[str, Any]:
-    if override is not None:
-        return dict(scenario.raw.get("policy", {}), type=override)
-    return scenario.require("policy")  # the schema requires policy.type
 
 
 def _lobe_width_rad(scenario: Scenario, cfg: Dict[str, Any]) -> float:
@@ -429,7 +434,7 @@ def _gating_policy(
 # --------------------------------------------------------------------------
 
 
-def _cmd_detect(scenario: Scenario, tracker: _OutputTracker, opts) -> Dict[str, Any]:
+def _cmd_detect(scenario: Scenario, tracker: _OutputTracker) -> Dict[str, Any]:
     target_cfg = scenario.require("target")
     scenario.require("detection")
     baseline, degraded = scenario.roc
@@ -461,7 +466,7 @@ def _cmd_detect(scenario: Scenario, tracker: _OutputTracker, opts) -> Dict[str, 
     return results
 
 
-def _cmd_imax(scenario: Scenario, tracker: _OutputTracker, opts) -> Dict[str, Any]:
+def _cmd_imax(scenario: Scenario, tracker: _OutputTracker) -> Dict[str, Any]:
     budget = _budget(scenario)
     noise = noise_power_w(scenario.radar)
     results = {
@@ -490,9 +495,7 @@ def _cmd_imax(scenario: Scenario, tracker: _OutputTracker, opts) -> Dict[str, An
     return results
 
 
-def _cmd_protect_single(
-    scenario: Scenario, tracker: _OutputTracker, opts
-) -> Dict[str, Any]:
+def _cmd_protect_single(scenario: Scenario, tracker: _OutputTracker) -> Dict[str, Any]:
     budget = _budget(scenario)
     fdr = _cochannel_fdr(scenario)
 
@@ -528,12 +531,10 @@ def _cmd_protect_single(
     return results
 
 
-def _cmd_protect_multi(
-    scenario: Scenario, tracker: _OutputTracker, opts
-) -> Dict[str, Any]:
+def _cmd_protect_multi(scenario: Scenario, tracker: _OutputTracker) -> Dict[str, Any]:
     budget = _budget(scenario)
     fdr = _cochannel_fdr(scenario)
-    cfg = _policy_config(scenario, opts.policy)
+    cfg = scenario.require("policy")
     if cfg["type"] == "single-user":
         raise ValidationError(
             "policy.type: 'single-user' has no deployment field; "
@@ -596,13 +597,11 @@ def _cmd_protect_multi(
     return results
 
 
-def _cmd_throughput(
-    scenario: Scenario, tracker: _OutputTracker, opts
-) -> Dict[str, Any]:
+def _cmd_throughput(scenario: Scenario, tracker: _OutputTracker) -> Dict[str, Any]:
     wifi_cfg = scenario.require("wifi")
     budget = _budget(scenario)
     fdr = _cochannel_fdr(scenario)
-    cfg = _policy_config(scenario, opts.policy)
+    cfg = scenario.require("policy")
     policy, policy_results = _gating_policy(scenario, cfg, budget, fdr)
     link = WifiLink(
         link_loss_db=wifi_cfg["link_loss_db"],
@@ -673,15 +672,13 @@ def _cmd_throughput(
     return results
 
 
-def _cmd_validate_mc(
-    scenario: Scenario, tracker: _OutputTracker, opts
-) -> Dict[str, Any]:
+def _cmd_validate_mc(scenario: Scenario, tracker: _OutputTracker) -> Dict[str, Any]:
     mc = scenario.require("mc")
     field = scenario.require("field")
     model = _power_law(scenario, "validate-mc")
     fdr = _cochannel_fdr(scenario)
-    seed = opts.seed if opts.seed is not None else mc["seed"]
-    n_samples = opts.samples if opts.samples is not None else mc["samples"]
+    seed = mc["seed"]
+    n_samples = mc["samples"]
     outer_radius = mc["outer_radius_m"]
 
     profile_cfg = mc["profile"]
@@ -751,9 +748,7 @@ def _cmd_validate_mc(
     }
 
 
-def _cmd_fit_pathloss(
-    scenario: Scenario, tracker: _OutputTracker, opts
-) -> Dict[str, Any]:
+def _cmd_fit_pathloss(scenario: Scenario, tracker: _OutputTracker) -> Dict[str, Any]:
     model = scenario.pathloss
     if not isinstance(model, TabulatedPathLoss):
         raise MissingSection(
@@ -781,7 +776,7 @@ def _cmd_fit_pathloss(
 
 
 # name: (handler, --help text, whether it takes --policy)
-_COMMANDS: Dict[str, tuple[Callable[..., Dict[str, Any]], str, bool]] = {
+_COMMANDS: Dict[str, tuple[Callable[[Scenario, _OutputTracker], Dict[str, Any]], str, bool]] = {
     "detect": (_cmd_detect, "radar noise floor, SNR budgets, and detection ranges", False),
     "imax": (_cmd_imax, "tolerable interference level and INR for a ROC degradation", False),
     "protect-single": (
@@ -807,10 +802,11 @@ def run_command(
 ) -> Dict[str, Any]:
     """Execute one command, writing its artifacts into ``out_dir``.
 
-    Returns the summary payload.  On any failure every artifact written so
-    far (including a partial summary) and every directory made for them is
-    removed before the error propagates, so an output directory never holds
-    a half-finished run.
+    The overrides are written into a copy of ``scenario.raw``; the command
+    reads that document and summary.json echoes it.  Returns the summary
+    payload.  The command only formats its artifacts, and they are written
+    once it has returned: a failed command leaves the disk as it was, and a
+    failed write removes every file it wrote and every directory it made.
     """
     if command not in _COMMANDS:
         raise ValidationError(f"unknown command {command!r}")
@@ -822,36 +818,28 @@ def run_command(
     raw = scenario.raw
     fmt = overrides.setdefault("output.format", raw.get("output", {}).get("format", "csv"))
 
-    # the echo shares the sections no override writes with scenario.raw;
-    # a section an override writes is copied, so scenario.raw stays as loaded
-    config_echo = dict(raw)
+    # the sections no override writes are shared with scenario.raw; a section
+    # an override writes is copied, so scenario.raw stays as loaded
+    merged = dict(raw)
     for path, value in overrides.items():
         section, key = path.split(".")
-        config_echo[section] = {**config_echo.get(section, {}), key: value}
+        merged[section] = {**merged.get(section, {}), key: value}
     # a section the overrides create must be whole, or the echo cannot be replayed
-    for section, value in config_echo.items():
+    for section, value in merged.items():
         if section not in raw:
             check_field(section, value)
 
-    resolved_seed = seed if seed is not None else raw.get("mc", {}).get("seed", 0)
-    opts = SimpleNamespace(seed=seed, samples=samples, policy=policy)
-
     tracker = _OutputTracker(Path(out_dir), fmt)
-    try:
-        for path in reversed(tracker.made):
-            path.mkdir(exist_ok=True)
-        results = _COMMANDS[command][0](scenario, tracker, opts)
-        payload = {
-            "command": command,
-            "version": __version__,
-            "seed": resolved_seed,
-            "config": config_echo,
-            "results": results,
-        }
-        tracker.summary(payload)
-    except BaseException:
-        tracker.cleanup()
-        raise
+    results = _COMMANDS[command][0](scenario.replace(raw=merged), tracker)
+    payload = {
+        "command": command,
+        "version": __version__,
+        "seed": merged.get("mc", {}).get("seed", 0),
+        "config": merged,
+        "results": results,
+    }
+    tracker.summary(payload)
+    tracker.write()
     return payload
 
 

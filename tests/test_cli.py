@@ -14,6 +14,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -598,7 +599,7 @@ def test_override_outside_schema_exits_3(tmp_path, capsys, flag, value, field):
      (RecursionError, 5)],
 )
 def test_exit_code_is_the_first_matching_entry(tmp_path, capsys, monkeypatch, error, rc):
-    def fail(scenario, tracker, opts):
+    def fail(scenario, tracker):
         raise error("handler failed")
 
     monkeypatch.setitem(cli._COMMANDS, "detect", (fail, "", False))
@@ -781,6 +782,37 @@ def test_every_zero_exit_runs_echo_replays_to_the_same_files(tmp_path):
     assert replayed == 21
 
 
+def test_a_command_reads_the_document_its_summary_echoes(tmp_path, monkeypatch):
+    # each handler is handed the scenario whose raw document summary.json records
+    captured = []
+
+    def capturing(handler):
+        def capture(scenario, *rest):
+            captured.append(scenario)
+            return handler(scenario, *rest)
+
+        return capture
+
+    for name, (handler, *rest) in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, name, (capturing(handler), *rest))
+    options = [{}, {"seed": 7, "samples": 300}, {"fmt": "json"}]
+    compared = 0
+    for command, (_, _, takes_policy) in cli._COMMANDS.items():
+        policies = [{"policy": p} for p in cli.POLICY_CHOICES] if takes_policy else []
+        for base in ("type_b_radar", "wifi_sharing"):
+            for i, option in enumerate(options + policies):
+                captured.clear()
+                out = tmp_path / f"{command}-{base}-{i}"
+                try:
+                    payload = run_command(load_scenario(base), command, out, **option)
+                except ValueError:  # exits 3 or 4: nothing to compare
+                    continue
+                assert len(captured) == 1
+                assert captured[0].raw == payload["config"], (command, base, option)
+                compared += 1
+    assert compared == 25
+
+
 @pytest.mark.parametrize("command", ["imax", "protect-single", "throughput"])
 def test_an_override_that_makes_a_section_partial_exits_3(tmp_path, capsys, command):
     # wifi_sharing has no mc section: its echo would hold mc: {seed, samples}, no scenario
@@ -950,10 +982,8 @@ def test_runs_read_the_roc_pair_the_load_built(tmp_path, monkeypatch):
     assert len(built) == 2
 
 
-def test_failed_run_removes_partial_outputs(tmp_path, capsys, monkeypatch):
-    # the contour table is written before the density sweep runs; a solver
-    # that fails on the sweep's first point must fail the run AND remove the
-    # table that was already on disk, and the directory the run made for it
+def _fail_optimize_beta_on_second_call(monkeypatch):
+    """Make ``cli.optimize_beta`` raise on its second call; returns its calls."""
     solve, calls = cli.optimize_beta, []
 
     def fail_on_second_call(*args, **kwargs):
@@ -963,6 +993,14 @@ def test_failed_run_removes_partial_outputs(tmp_path, capsys, monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(cli, "optimize_beta", fail_on_second_call)
+    return calls
+
+
+def test_failed_run_removes_partial_outputs(tmp_path, capsys, monkeypatch):
+    # the contour table is formatted before the density sweep runs; a solver
+    # that fails on the sweep's first point must fail the run, and neither the
+    # table nor the directory for it may reach the disk
+    calls = _fail_optimize_beta_on_second_call(monkeypatch)
     out = tmp_path / "out"
     rc = main(["protect-multi", "--config", "type_b_radar", "--out", str(out)])
     assert rc == 5
@@ -975,6 +1013,23 @@ def test_failed_run_removes_partial_outputs(tmp_path, capsys, monkeypatch):
     before = _files(out)
     calls.clear()
     assert main(["protect-multi", "--config", "type_b_radar", "--out", str(out)]) == 5
+    assert _files(out) == before
+
+
+def test_a_failed_rerun_leaves_the_earlier_run_as_it_was(tmp_path, capsys, monkeypatch):
+    # the main-side-lobe solve succeeds and the density sweep's first point
+    # fails, after the contour table is formatted: no earlier file may change
+    out = tmp_path / "out"
+    argv = ["protect-multi", "--config", "type_b_radar", "--out", str(out),
+            "--policy", "main-side-lobe"]
+    assert main(argv) == 0
+    before = _files(out)
+    assert sorted(before) == ["protect_multi_contour.csv", "protect_multi_sweep.csv",
+                              "summary.json"]
+    calls = _fail_optimize_beta_on_second_call(monkeypatch)
+    assert main(argv) == 5
+    assert len(calls) == 2
+    assert capsys.readouterr().err == "error: solver failed on its second call\n"
     assert _files(out) == before
 
 
@@ -1441,6 +1496,27 @@ def test_su_gain_bound_keeps_the_sinr_finite(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "error: su.antenna_gain_dbi: 40.00000000000001 is greater than the maximum of 40"
     )
+
+
+def test_wifi_noise_figure_is_bounded_as_the_radars_is(tmp_path, capsys):
+    # a receiver's noise figure is a few dB; 100 dB, radar.noise_figure_db's
+    # maximum, still computes with no RuntimeWarning (which fails the run)
+    def figure(value):
+        return _variant(
+            tmp_path, "wifi_sharing",
+            lambda cfg: _set(cfg, ("wifi", "rx_noise_figure_db"), value), name=f"{value}.json",
+        )
+
+    argv = ["throughput", "--out", str(tmp_path / "o"), "--config"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([*argv, str(figure(100))]) == 0
+    out = tmp_path / "o2"
+    assert main(["throughput", "--config", str(figure(100.5)), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: wifi.rx_noise_figure_db: 100.5 is greater than the maximum of 100\n"
+    )
+    assert not out.exists()
 
 
 # the fixture runs that exit 0, each reading the radar or the target

@@ -335,6 +335,7 @@ def test_a_bound_record_accepts_a_value_iff_the_schema_does(cls, name):
         (SecondaryUser, "antenna_gain_dbi", 3000.0),
         (DeploymentField, "density_per_m2", 1e6),
         (WifiLink, "rx_bandwidth_hz", 0.5),
+        (WifiLink, "rx_noise_figure_db", 100.5),
     ],
 )
 def test_records_refuse_what_the_cli_refuses_in_its_words(cls, name, value):

@@ -63,6 +63,14 @@ def _reference_cell(value):
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def _written(directory, fmt, columns, data):
+    """The text of table ``t`` as ``_OutputTracker`` keeps and then writes it."""
+    tracker = _OutputTracker(directory, fmt)
+    path = tracker.table("t", columns, data)
+    tracker.write()
+    return path.read_text()
+
+
 def _reference(fmt, columns, data):
     rows = list(zip(*data))
     if fmt == "json":
@@ -116,8 +124,7 @@ def tables(draw):
 def test_writer_matches_the_per_cell_reference(table, fmt):
     columns, data = table
     with tempfile.TemporaryDirectory() as tmp:
-        path = _OutputTracker(Path(tmp), fmt).table("t", columns, data)
-        assert path.read_text() == _reference(fmt, columns, data)
+        assert _written(Path(tmp), fmt, columns, data) == _reference(fmt, columns, data)
 
 
 # strings the encoder escapes: quotes, backslashes, control characters and
@@ -157,7 +164,9 @@ def nested(depth):
 @given(payload=st.dictionaries(strings, nested(3), max_size=4))
 def test_summary_matches_the_reference(payload):
     with tempfile.TemporaryDirectory() as tmp:
-        path = _OutputTracker(Path(tmp), "json").summary(payload)
+        tracker = _OutputTracker(Path(tmp), "json")
+        path = tracker.summary(payload)
+        tracker.write()
         assert path.read_text() == reference_json(payload)
 
 
@@ -170,7 +179,7 @@ def test_summary_refuses_what_it_cannot_write(tmp_path, payload):
     tracker = _OutputTracker(tmp_path, "json")
     with pytest.raises(TypeError):
         tracker.summary(payload)
-    assert tracker.written == []
+    assert tracker.files == {}
     assert list(tmp_path.iterdir()) == []
 
 
@@ -212,8 +221,7 @@ def pooled_tables(draw):
 def test_repeated_floats_match_the_per_cell_reference(table, fmt):
     columns, data = table
     with tempfile.TemporaryDirectory() as tmp:
-        path = _OutputTracker(Path(tmp), fmt).table("t", columns, data)
-        assert path.read_text() == _reference(fmt, columns, data)
+        assert _written(Path(tmp), fmt, columns, data) == _reference(fmt, columns, data)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -230,14 +238,12 @@ def test_repeated_floats_match_the_per_cell_reference(table, fmt):
     ids=["zero-rows", "one-row", "one-nan", "strided", "strided-odd", "2d-column"],
 )
 def test_short_and_strided_float_columns(tmp_path, fmt, column):
-    path = _OutputTracker(tmp_path, fmt).table("t", ("a",), (column,))
-    assert path.read_text() == _reference(fmt, ("a",), (column,))
+    assert _written(tmp_path, fmt, ("a",), (column,)) == _reference(fmt, ("a",), (column,))
 
 
 def test_signed_zeros_stay_apart(tmp_path):
     column = np.array([0.0, -0.0, 0.0, -0.0])
-    path = _OutputTracker(tmp_path, "csv").table("t", ("a",), (column,))
-    assert path.read_text() == "a\n0.0\n-0.0\n0.0\n-0.0\n"
+    assert _written(tmp_path, "csv", ("a",), (column,)) == "a\n0.0\n-0.0\n0.0\n-0.0\n"
 
 
 def test_writer_refuses_ragged_tables(tmp_path):
@@ -246,7 +252,7 @@ def test_writer_refuses_ragged_tables(tmp_path):
         tracker.table("t", ("a", "b"), ([1.0],))
     with pytest.raises(ValueError, match="differ in length"):
         tracker.table("t", ("a", "b"), ([1.0], [1.0, 2.0]))
-    assert tracker.written == []
+    assert tracker.files == {}
 
 
 def _float_table(path):
@@ -332,16 +338,17 @@ def test_short_writes_still_write_every_byte(tmp_path, monkeypatch, command, fix
 
 
 def test_a_handler_failing_after_its_table_leaves_no_file(tmp_path, monkeypatch):
+    # nor the --out directory: nothing is written before the handler returns
     handler, *rest = cli._COMMANDS["protect-single"]
 
-    def fails_after_writing(scenario, tracker, opts):
-        handler(scenario, tracker, opts)
-        assert [path.name for path in tracker.written] == ["protect_single.csv"]
-        raise RuntimeError("failed after the table was written")
+    def fails_after_its_table(scenario, tracker):
+        handler(scenario, tracker)
+        assert [path.name for path in tracker.files] == ["protect_single.csv"]
+        raise RuntimeError("failed after the table was formatted")
 
-    monkeypatch.setitem(cli._COMMANDS, "protect-single", (fails_after_writing, *rest))
+    monkeypatch.setitem(cli._COMMANDS, "protect-single", (fails_after_its_table, *rest))
     with pytest.raises(RuntimeError, match="after the table"):
-        cli.run_command(load_scenario("type_b_radar"), "protect-single", tmp_path)
+        cli.run_command(load_scenario("type_b_radar"), "protect-single", tmp_path / "o")
     assert list(tmp_path.iterdir()) == []
 
 
