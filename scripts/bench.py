@@ -7,6 +7,8 @@ Writes ``BENCH_<label>.json`` at the repository root with:
   (min and median over ``--repeat`` processes);
 - ``setup_s``: per bundled fixture, the same for ``import coexist.cli`` plus
   ``load_scenario``, unscaled; the benchmark's ``setup_s`` times this pair;
+- ``setup_modules``: per bundled fixture, the ``coexist`` modules that this
+  fresh import and load ran (a module LazyLoader has not run yet is left out);
 - ``fresh_commands_s``: per subcommand and fixture, the wall time and exit
   code of ``python -m coexist.cli`` in a fresh process, as a user runs it
   (interpreter start, imports, compiling ``src`` where no bytecode is cached,
@@ -122,10 +124,15 @@ _IMPORT = (
     "import time; t = time.perf_counter(); import coexist.cli; "
     "print(time.perf_counter() - t)"
 )
+# the clock stops before the run modules are listed: LazyLoader's unrun
+# modules are listed by type(), which does not run them
 _SETUP = (
-    "import sys, time; t = time.perf_counter(); import coexist.cli; "
+    "import json, sys, time, types; t = time.perf_counter(); import coexist.cli; "
     "from coexist.config import load_scenario; load_scenario(sys.argv[1]); "
-    "print(time.perf_counter() - t)"
+    "seconds = time.perf_counter() - t; "
+    "run = sorted(n for n, m in sys.modules.items() "
+    "if n.split('.')[0] == 'coexist' and type(m) is types.ModuleType); "
+    "print(json.dumps([seconds, run]))"
 )
 
 
@@ -249,14 +256,18 @@ def time_import(trees, repeat):
 
 
 def time_setup(trees, repeat):
+    """Per tree and fixture: the set-up's time summary, and the modules it ran."""
     result = {tree.label: {} for tree in trees}
+    modules = {tree.label: {} for tree in trees}
     for name in FIXTURES:
         runs = _alternate(
-            trees, repeat, lambda tree: float(_fresh(tree.src, ["-c", _SETUP, name]).stdout)
+            trees, repeat, lambda tree: json.loads(_fresh(tree.src, ["-c", _SETUP, name]).stdout)
         )
-        for label, summary in _summaries(runs).items():
+        times = {label: [seconds for seconds, _ in pairs] for label, pairs in runs.items()}
+        for label, summary in _summaries(times).items():
             result[label][name] = summary
-    return result
+            (modules[label][name],) = {tuple(run) for _, run in runs[label]}
+    return result, modules
 
 
 def _first_load(name):
@@ -552,7 +563,7 @@ def main(argv=None):
     json_runs = {f"{c}/{n}": Run(c, n, (("fmt", "json"),)) for c, n in TABLE_RUNS}
     measured = {
         "import_s": time_import(trees, args.repeat),
-        "setup_s": time_setup(trees, args.repeat),
+        **dict(zip(("setup_s", "setup_modules"), time_setup(trees, args.repeat))),
         "fresh_commands_s": time_runs(trees, commands, args.repeat, fresh=True),
         "load_scenario_s": time_loads(trees, max(args.repeat, 50)),
         "commands_s": time_runs(trees, commands, args.repeat),

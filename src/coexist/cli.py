@@ -22,7 +22,7 @@ from itertools import chain, takewhile
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Sequence
 
-from . import __version__
+from . import __version__, protection_multi, wifi_link
 from .config import (
     MissingSection,
     ParseError,
@@ -50,6 +50,7 @@ from .propagation import (
     gain_dbi,
 )
 from .protection_single import (
+    DeploymentField,
     InterferenceBudget,
     dbm,
     distance_at_gain,
@@ -58,27 +59,6 @@ from .protection_single import (
     protection_distance,
     single_user_gamma,
 )
-from .protection_multi import (
-    DeploymentField,
-    OptimalPolicy,
-    RadarBlindPolicy,
-    ScaleNotFinite,
-    SharingPolicy,
-    TruncationTooSevere,
-    WorkTooLarge,
-    beta_scan_solves,
-    campbell_stats,
-    default_lobe_width_rad,
-    optimal_contour,
-    optimize_beta,
-    outage_probability,
-    policy_profile,
-    protected_area_m2,
-    sample_aggregate,
-    solve_main_side,
-    solve_optimal_profile,
-    solve_radar_blind,
-)
 from .radar_detection import (
     Target,
     effective_snr,
@@ -86,15 +66,6 @@ from .radar_detection import (
     noise_power_w,
     single_pulse_snr,
     snr_required_albersheim,
-)
-from .wifi_link import (
-    WifiLink,
-    average_throughput,
-    duty_factor,
-    radar_interference_w,
-    throughput_trace,
-    wifi_noise_w,
-    wifi_sinr,
 )
 
 # a failed run's exit code: that of the first class its error is an instance of
@@ -339,7 +310,7 @@ def _lobe_width_rad(scenario: Scenario, cfg: Dict[str, Any]) -> float:
         raise ValidationError(
             "policy.lobe_width_deg: a constant pattern has no main lobe to default it to"
         )
-    return default_lobe_width_rad(scenario.pattern)
+    return protection_multi.default_lobe_width_rad(scenario.pattern)
 
 
 def _solve_policy(
@@ -348,7 +319,7 @@ def _solve_policy(
     cfg: Dict[str, Any],
     i_max_w: float,
     fdr: float,
-) -> tuple[SharingPolicy, Dict[str, Any]]:
+) -> tuple[protection_multi.SharingPolicy, Dict[str, Any]]:
     """Solve the requested policy for ``field``; returns (policy, result scalars).
 
     The schema bounds every density and the temperature, so a contour
@@ -367,11 +338,11 @@ def _solve_policy(
     args = (field, scenario.su, scenario.pattern, pathloss, fdr, i_max_w)
     try:
         if kind == "radar-blind":
-            policy: SharingPolicy = solve_radar_blind(*args)
+            policy: protection_multi.SharingPolicy = protection_multi.solve_radar_blind(*args)
             results = {"d_min_m": policy.d_min_m}
         elif kind == "optimal":
-            policy = solve_optimal_profile(*args)
-            contour = optimal_contour(policy, scenario.pattern)
+            policy = protection_multi.solve_optimal_profile(*args)
+            contour = protection_multi.optimal_contour(policy, scenario.pattern)
             results = {
                 "gamma_m": policy.gamma,
                 "d_min_m": float(np.min(contour)),
@@ -380,11 +351,11 @@ def _solve_policy(
         elif kind == "main-side-lobe":
             lobe_width = _lobe_width_rad(scenario, cfg)
             if "beta" in cfg:
-                policy = solve_main_side(
+                policy = protection_multi.solve_main_side(
                     *args, beta=cfg["beta"], lobe_width_rad=lobe_width
                 )
             else:
-                policy = optimize_beta(
+                policy = protection_multi.optimize_beta(
                     *args, lobe_width_rad=lobe_width, beta_grid=_beta_grid(cfg)
                 )
             results = {
@@ -397,8 +368,8 @@ def _solve_policy(
             raise ValidationError(
                 f"policy.type: {kind!r} is not a deployment-field policy"
             )
-        area = protected_area_m2(policy, scenario.pattern)
-    except (ScaleNotFinite, OverflowError) as exc:
+        area = protection_multi.protected_area_m2(policy, scenario.pattern)
+    except (protection_multi.ScaleNotFinite, OverflowError) as exc:
         name = "pathloss.alpha" if field is scenario.field else "sweeps.density_per_m2"
         raise ValidationError(
             f"{name}: the contour scale (a/I_max)^(1/(alpha-2)) or the area it bounds "
@@ -418,12 +389,12 @@ def _beta_grid(cfg: Dict[str, Any]) -> list[float] | None:
 
 def _gating_policy(
     scenario: Scenario, cfg: Dict[str, Any], budget: InterferenceBudget, fdr: float
-) -> tuple[SharingPolicy, Dict[str, Any]]:
+) -> tuple[protection_multi.SharingPolicy, Dict[str, Any]]:
     """Policy used to gate WiFi transmissions, including single-user sharing."""
     if cfg["type"] == "single-user":
         model = _power_law(scenario, "single-user gating")
         gamma = single_user_gamma(scenario.su, model, budget, fdr)
-        policy = OptimalPolicy(gamma=gamma, alpha=model.alpha)
+        policy = protection_multi.OptimalPolicy(gamma=gamma, alpha=model.alpha)
         return policy, {"gamma_m": gamma}
     field = scenario.require("field")
     return _solve_policy(scenario, field, cfg, budget.i_max_w, fdr)
@@ -546,13 +517,13 @@ def _cmd_protect_multi(scenario: Scenario, tracker: _OutputTracker) -> Dict[str,
         # a density point costs its policy's contour-scale solves; check before any runs
         solves = 1
         if cfg["type"] == "main-side-lobe" and "beta" not in cfg:
-            solves = beta_scan_solves(_beta_grid(cfg))
+            solves = protection_multi.beta_scan_solves(_beta_grid(cfg))
         grid = resolve_grid(
             scenario.sweeps["density_per_m2"], "sweeps.density_per_m2", solves, "solves"
         )
     policy, results = _solve_policy(scenario, field, cfg, budget.i_max_w, fdr)
-    profile = policy_profile(policy, scenario.pattern)
-    stats = campbell_stats(
+    profile = protection_multi.policy_profile(policy, scenario.pattern)
+    stats = protection_multi.campbell_stats(
         field,
         scenario.su,
         scenario.pattern,
@@ -568,7 +539,7 @@ def _cmd_protect_multi(scenario: Scenario, tracker: _OutputTracker) -> Dict[str,
             "fdr": fdr,
             "aggregate_mean_w": stats.mean_w,
             "aggregate_std_w": stats.std_w,
-            "outage_probability": outage_probability(stats, budget.i_max_w),
+            "outage_probability": protection_multi.outage_probability(stats, budget.i_max_w),
         }
     )
 
@@ -603,7 +574,7 @@ def _cmd_throughput(scenario: Scenario, tracker: _OutputTracker) -> Dict[str, An
     fdr = _cochannel_fdr(scenario)
     cfg = scenario.require("policy")
     policy, policy_results = _gating_policy(scenario, cfg, budget, fdr)
-    link = WifiLink(
+    link = wifi_link.WifiLink(
         link_loss_db=wifi_cfg["link_loss_db"],
         su=scenario.su,
         rx_noise_figure_db=wifi_cfg["rx_noise_figure_db"],
@@ -620,7 +591,7 @@ def _cmd_throughput(scenario: Scenario, tracker: _OutputTracker) -> Dict[str, An
         grid = resolve_grid(spec, "sweeps.distance_m", n_steps)
 
     common = (scenario.radar, scenario.pattern, scenario.pathloss, policy)
-    trace = throughput_trace(link, *common, su_distance, mode, n_steps)
+    trace = wifi_link.throughput_trace(link, *common, su_distance, mode, n_steps)
     tracker.table(
         "throughput_trace",
         ("time_s", "azimuth_deg", "sinr_db", "rate_mbps"),
@@ -629,25 +600,25 @@ def _cmd_throughput(scenario: Scenario, tracker: _OutputTracker) -> Dict[str, An
 
     def boresight_dbm(rate_mode: str) -> float:
         return dbm(
-            radar_interference_w(
+            wifi_link.radar_interference_w(
                 scenario.radar, scenario.su, scenario.pattern, scenario.pathloss,
                 su_distance, 0.0, rate_mode,
             )
         )
 
     def avg_rate(distance_m: float, rate_mode: str) -> float:
-        return average_throughput(link, *common, distance_m, rate_mode, n_steps)
+        return wifi_link.average_throughput(link, *common, distance_m, rate_mode, n_steps)
 
     results: Dict[str, Any] = {
         "policy": cfg["type"],
         "mode": mode,
         "su_distance_m": su_distance,
-        "noise_power_w": wifi_noise_w(link),
-        "noise_power_dbm": dbm(wifi_noise_w(link)),
-        "interference_free_snr_db": linear_to_db(wifi_sinr(link, 0.0)),
+        "noise_power_w": wifi_link.wifi_noise_w(link),
+        "noise_power_dbm": dbm(wifi_link.wifi_noise_w(link)),
+        "interference_free_snr_db": linear_to_db(wifi_link.wifi_sinr(link, 0.0)),
         "boresight_interference_peak_dbm": boresight_dbm("peak"),
         "boresight_interference_averaged_dbm": boresight_dbm("averaged"),
-        "duty_factor": duty_factor(policy, scenario.pattern, su_distance),
+        "duty_factor": wifi_link.duty_factor(policy, scenario.pattern, su_distance),
         "avg_rate_peak_mbps": avg_rate(su_distance, "peak"),
         "avg_rate_averaged_mbps": avg_rate(su_distance, "averaged"),
     }
@@ -664,7 +635,7 @@ def _cmd_throughput(scenario: Scenario, tracker: _OutputTracker) -> Dict[str, An
             ),
             (
                 grid,
-                [duty_factor(policy, scenario.pattern, d) for d in grid],
+                [wifi_link.duty_factor(policy, scenario.pattern, d) for d in grid],
                 [avg_rate(d, "peak") for d in grid],
                 [avg_rate(d, "averaged") for d in grid],
             ),
@@ -683,13 +654,15 @@ def _cmd_validate_mc(scenario: Scenario, tracker: _OutputTracker) -> Dict[str, A
 
     profile_cfg = mc["profile"]
     if profile_cfg["type"] == "constant":
-        policy: SharingPolicy = RadarBlindPolicy(d_min_m=profile_cfg["distance_m"])
+        policy: protection_multi.SharingPolicy = protection_multi.RadarBlindPolicy(
+            d_min_m=profile_cfg["distance_m"]
+        )
     else:
-        policy = OptimalPolicy(gamma=profile_cfg["gamma"], alpha=model.alpha)
-    profile = policy_profile(policy, scenario.pattern)
+        policy = protection_multi.OptimalPolicy(gamma=profile_cfg["gamma"], alpha=model.alpha)
+    profile = protection_multi.policy_profile(policy, scenario.pattern)
 
     try:
-        stats = campbell_stats(
+        stats = protection_multi.campbell_stats(
             field,
             scenario.su,
             scenario.pattern,
@@ -698,7 +671,7 @@ def _cmd_validate_mc(scenario: Scenario, tracker: _OutputTracker) -> Dict[str, A
             fdr,
             outer_radius_m=outer_radius,
         )
-        samples = sample_aggregate(
+        samples = protection_multi.sample_aggregate(
             field,
             scenario.su,
             scenario.pattern,
@@ -709,9 +682,9 @@ def _cmd_validate_mc(scenario: Scenario, tracker: _OutputTracker) -> Dict[str, A
             n_samples,
             seed,
         )
-    except TruncationTooSevere as exc:
+    except protection_multi.TruncationTooSevere as exc:
         raise ValidationError(f"mc.outer_radius_m: {exc}") from None
-    except WorkTooLarge as exc:
+    except protection_multi.WorkTooLarge as exc:
         key = "field.density_per_m2" if exc.per_sample else "mc.samples"
         raise ValidationError(f"{key}: {exc}") from None
     mean_emp = float(np.mean(samples))

@@ -14,9 +14,12 @@ for the error with the smallest dotted path, worded as jsonschema words it.
 
 from __future__ import annotations
 
+import errno
 import functools
 import json
 import math
+import os
+import stat
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
@@ -30,8 +33,7 @@ from .propagation import (
     PowerLawPathLoss,
     TabulatedPathLoss,
 )
-from .protection_single import SecondaryUser
-from .protection_multi import DeploymentField
+from .protection_single import DeploymentField, SecondaryUser
 from .radar_detection import SPEED_OF_LIGHT_M_S, RadarSystem, RocPoint
 
 
@@ -136,18 +138,36 @@ def fixture_path(name: str) -> Path:
     return _PACKAGE / "fixtures" / name
 
 
-def _resolve_path(path: str | Path) -> Path:
+# the errnos for which ``Path.exists`` reports a path missing rather than raising
+_MISSING_ERRNOS = frozenset((errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP))
+
+
+def _stat_mode(candidate: Path, path: str | Path) -> Optional[int]:
+    """``candidate``'s mode, or None where ``Path.exists`` calls it missing."""
     try:
-        # fall back to bundled fixtures so `--config type_b_radar` works anywhere
-        for candidate in (Path(path), fixture_path(str(path))):
-            if candidate.exists():
-                # refused before it is opened: a FIFO blocks a read, /dev/zero never ends one
-                if not candidate.is_file():
-                    raise ParseError(f"config is not a regular file: {path}")
-                return candidate
-    except OSError as exc:  # say, a name too long for the file system
+        return os.stat(candidate).st_mode
+    except ValueError:  # a NUL byte in the name
+        return None
+    except OSError as exc:
+        if exc.errno in _MISSING_ERRNOS:
+            return None
+        # say, a name too long for the file system
         raise ParseError(f"cannot read config file {path}: {exc.strerror}") from None
-    raise ParseError(f"config file not found: {path}")
+
+
+def _resolve_path(path: str | Path) -> Path:
+    candidate = Path(path)
+    mode = _stat_mode(candidate, path)
+    if mode is None:
+        # fall back to bundled fixtures so `--config type_b_radar` works anywhere
+        candidate = fixture_path(str(path))
+        mode = _stat_mode(candidate, path)
+        if mode is None:
+            raise ParseError(f"config file not found: {path}")
+    # refused before it is opened: a FIFO blocks a read, /dev/zero never ends one
+    if not stat.S_ISREG(mode):
+        raise ParseError(f"config is not a regular file: {path}")
+    return candidate
 
 
 def _build_radar(cfg: Dict[str, Any]) -> RadarSystem:

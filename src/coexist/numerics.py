@@ -9,13 +9,15 @@ to the last bit.  The contour scale of the field policies is a Newton solve
 its steps do not settle; the tests use it as an independent reference.
 
 ``np`` is the package's one numpy handle, and every module takes numpy
-from here.  numpy is loaded at its first attribute access, not by
-``import coexist``: loading a scenario and the commands that compute
-without arrays never pay for it.  An ``import numpy`` statement in the
-package would load it at once, since the import system reads the
-module's ``__spec__``; so would ``isinstance(np, ...)``, which reads its
-``__class__``.  The first access takes no lock on older CPythons (3.11
-among them), so a thread pool touches ``np`` before it starts its workers.
+from here.  It is a ``lazy_module``: numpy is loaded at its first attribute
+access, not by ``import coexist``, so loading a scenario and the commands
+that compute without arrays never pay for it.  The package registers its
+field, Monte Carlo and WiFi modules the same way.  An ``import numpy``
+statement in the package would load numpy at once, since the import system
+reads the module's ``__spec__``; so would ``isinstance(np, ...)``, which
+reads its ``__class__``.  The first access takes no lock on older CPythons
+(3.11 among them), so a thread pool touches ``np`` before it starts its
+workers.
 """
 
 from __future__ import annotations
@@ -28,22 +30,25 @@ from operator import attrgetter
 from typing import Any, Callable, Iterable, Sequence, Tuple
 
 
-def _lazy_numpy():
-    """numpy if it is imported, else a module in its place that loads it at first use."""
-    imported = sys.modules.get("numpy")
+def lazy_module(name: str) -> Any:
+    """Module ``name`` if it is imported, else a module in its place that loads it at first use.
+
+    Until then its type is LazyLoader's subclass of ``types.ModuleType``.
+    """
+    imported = sys.modules.get(name)
     if imported is not None:
         return imported
-    spec = importlib.util.find_spec("numpy")
+    spec = importlib.util.find_spec(name)
     if spec is None:
-        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
-    sys.modules["numpy"] = module  # a later ``import numpy`` gets this module
+    sys.modules[name] = module  # a later ``import name`` gets this module
     spec.loader.exec_module(module)
     return module
 
 
-np = _lazy_numpy()
+np = lazy_module("numpy")
 
 TWO_PI = 2.0 * math.pi
 
@@ -65,8 +70,8 @@ class Record:
     bound to it: before ``__post_init__``, each of its ``float`` fields is
     checked against the section's key of the same name by
     ``config.check_field``, which raises the CLI's ``ValidationError``;
-    ``config`` sets ``_check_field`` when it is imported, since it imports
-    the record modules.
+    ``config`` sets ``_check_field`` when it is imported, and ``import
+    coexist`` imports ``config``, so it is set before a caller builds a record.
     """
 
     _fields: Tuple[str, ...] = ()

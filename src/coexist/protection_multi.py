@@ -40,7 +40,7 @@ from .propagation import (
     PowerLawPathLoss,
     gain_linear_array,
 )
-from .protection_single import SecondaryUser
+from .protection_single import DeploymentField, SecondaryUser
 from . import _mc_kernels
 
 WorkTooLarge = _mc_kernels.WorkTooLarge  # sample_aggregate raises it
@@ -64,21 +64,6 @@ class ScaleNotFinite(ValueError):
 
 class OptimalityViolation(AssertionError):
     """A constraint-restored perturbation beat the supposedly optimal contour."""
-
-
-class DeploymentField(Record):
-    """Poisson deployment: density, activity, and the outage cap."""
-
-    _schema_section = "field"
-
-    density_per_m2: float
-    activity_prob: float
-    outage_max: float
-
-    @property
-    def active_density_per_m2(self) -> float:
-        """Thinned intensity: density times independent activity probability."""
-        return self.density_per_m2 * self.activity_prob
 
 
 class CampbellStats(Record):

@@ -9,6 +9,9 @@ azimuth-dependent protection distance following the radar's gain pattern.
 The frequency-dependent rejection (FDR) is always an explicit argument,
 never derived here: the caller decides it, from ``fdr_cochannel`` for a
 co-channel transmitter or ``fdr_general`` for an offset one.
+
+``DeploymentField``, a Poisson field of such transmitters, sits beside
+``SecondaryUser`` so that loading a scenario runs no ``protection_multi``.
 """
 
 from __future__ import annotations
@@ -45,6 +48,21 @@ class SecondaryUser(Record):
     eirp_w: float
     bandwidth_hz: float
     antenna_gain_dbi: float
+
+
+class DeploymentField(Record):
+    """Poisson deployment: density, activity, and the outage cap."""
+
+    _schema_section = "field"
+
+    density_per_m2: float
+    activity_prob: float
+    outage_max: float
+
+    @property
+    def active_density_per_m2(self) -> float:
+        """Thinned intensity: density times independent activity probability."""
+        return self.density_per_m2 * self.activity_prob
 
 
 class InterferenceBudget(Record):

@@ -22,7 +22,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import coexist
-from coexist import _mc_kernels, cli
+from coexist import _mc_kernels, cli, protection_multi
 from coexist.cli import main, run_command
 from coexist.config import (
     MissingSection,
@@ -514,6 +514,15 @@ def test_importing_coexist_without_numpy_fails():
     assert _fresh_interpreter(code).strip() == "numpy"
 
 
+def test_lazily_exported_names_are_their_modules_own():
+    # the field and WiFi modules run at first use; the package's names stay theirs
+    assert len(coexist.__all__) == len(set(coexist.__all__)) == 82
+    assert set(coexist._LAZY_NAMES) < set(coexist.__all__) <= set(dir(coexist))
+    for name, module in coexist._LAZY_NAMES.items():
+        assert getattr(coexist, name) is getattr(module, name)
+    assert protection_multi.DeploymentField is coexist.DeploymentField
+
+
 def test_a_numpy_scalar_field_is_checked_as_its_number():
     # numpy loaded after coexist, by the caller: the README's quick start
     code = (
@@ -568,6 +577,53 @@ def test_import_and_load_pull_in_no_unneeded_module():
     assert [name for name in unneeded if name in loaded["modules"]] == []
     assert "coexist.config.Scenario" in loaded["classes"]
     assert [name for name, generated in loaded["classes"].items() if generated] == []
+
+
+# the field, Monte Carlo and WiFi modules, listed where they have been run:
+# until then each is absent or LazyLoader's module, whose type() does not run it
+DEFERRED_MODULES = """
+import json, sys, types
+from coexist import cli
+from coexist.config import load_scenario
+out = sys.argv[1]
+names = ("coexist.protection_multi", "coexist.wifi_link", "coexist._mc_kernels")
+
+def run_modules():
+    return [name for name in names if type(sys.modules.get(name)) is types.ModuleType]
+
+load_scenario("type_b_radar")
+load_scenario("wifi_sharing")
+points = {"import and load": run_modules()}
+runs = [
+    ("detect", "type_b_radar"), ("imax", "wifi_sharing"), ("protect-single", "type_b_radar"),
+    ("protect-multi", "type_b_radar", "--policy", "single-user"), ("throughput", "type_b_radar"),
+]
+codes = [
+    cli.main([cmd, "--config", cfg, *rest, "--out", f"{out}/{i}"])
+    for i, (cmd, cfg, *rest) in enumerate(runs)
+]
+points["single-radar and failed runs"] = run_modules()
+codes.append(cli.main(["protect-multi", "--config", "type_b_radar", "--out", out + "/multi"]))
+points["protect-multi"] = run_modules()
+codes.append(cli.main(["throughput", "--config", "wifi_sharing", "--out", out + "/throughput"]))
+points["throughput"] = run_modules()
+print(json.dumps({"codes": codes, "run": points}))
+"""
+
+
+def test_single_radar_runs_never_run_the_field_mc_or_wifi_modules(tmp_path):
+    # loading a scenario, detect, imax, protect-single and runs that exit 3
+    # or 4 before any field or WiFi computation need none of them;
+    # protect-multi runs the field module and its kernel and throughput the
+    # WiFi one, so the check is not vacuous
+    loaded = json.loads(_fresh_interpreter(DEFERRED_MODULES, str(tmp_path)))
+    assert loaded["codes"] == [0, 0, 0, 3, 4, 0, 0]
+    assert loaded["run"] == {
+        "import and load": [],
+        "single-radar and failed runs": [],
+        "protect-multi": ["coexist.protection_multi", "coexist._mc_kernels"],
+        "throughput": ["coexist.protection_multi", "coexist.wifi_link", "coexist._mc_kernels"],
+    }
 
 
 @pytest.mark.parametrize(
@@ -678,7 +734,7 @@ def test_analytic_work_over_the_cap_exits_3(
     tmp_path, capsys, monkeypatch, command, base, sweeps, cap, field
 ):
     monkeypatch.setattr("coexist.config.MAX_ANALYTIC_WORK", cap)
-    monkeypatch.setattr("coexist.cli.throughput_trace", _refuse_to_trace)
+    monkeypatch.setattr("coexist.wifi_link.throughput_trace", _refuse_to_trace)
     config = _variant(tmp_path, base, lambda cfg: cfg["sweeps"].update(sweeps))
     out = tmp_path / "o"
     assert main([command, "--config", str(config), "--out", str(out)]) == 3
@@ -712,7 +768,7 @@ def test_density_sweep_counts_the_solves_of_each_point(
 ):
     # type_b_radar sweeps 9 densities; one evaluation under the cap is refused
     monkeypatch.setattr("coexist.config.MAX_ANALYTIC_WORK", 9 * per_point - 1)
-    monkeypatch.setattr(f"coexist.cli.{solver}", _refuse_to_solve)
+    monkeypatch.setattr(f"coexist.protection_multi.{solver}", _refuse_to_solve)
     config = _variant(tmp_path, "type_b_radar", lambda cfg: cfg["policy"].update(policy))
     out = tmp_path / "o"
     assert main(["protect-multi", "--config", str(config), "--out", str(out)]) == 3
@@ -983,8 +1039,8 @@ def test_runs_read_the_roc_pair_the_load_built(tmp_path, monkeypatch):
 
 
 def _fail_optimize_beta_on_second_call(monkeypatch):
-    """Make ``cli.optimize_beta`` raise on its second call; returns its calls."""
-    solve, calls = cli.optimize_beta, []
+    """Make ``protection_multi.optimize_beta`` raise on its second call; returns its calls."""
+    solve, calls = protection_multi.optimize_beta, []
 
     def fail_on_second_call(*args, **kwargs):
         calls.append(args)
@@ -992,7 +1048,7 @@ def _fail_optimize_beta_on_second_call(monkeypatch):
             raise RuntimeError("solver failed on its second call")
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "optimize_beta", fail_on_second_call)
+    monkeypatch.setattr(protection_multi, "optimize_beta", fail_on_second_call)
     return calls
 
 
@@ -1419,6 +1475,11 @@ def test_overflowing_db_field_exits_3(
         ("protect-multi", ("radar", "noise_figure_db"), 2999.9999999999995,
          "greater than the maximum of 100"),
         ("protect-multi", ("detection", "baseline_snr_db"), 3000, "greater than the maximum of 100"),
+        # the 100 dB widths of the noise figures and of the baseline SNR's maximum
+        ("detect", ("radar", "system_loss_db"), math.nextafter(100.0, math.inf),
+         "100.00000000000001 is greater than the maximum of 100"),
+        ("imax", ("detection", "baseline_snr_db"), math.nextafter(-100.0, -math.inf),
+         "-100.00000000000001 is less than the minimum of -100"),
         ("validate-mc", ("mc", "profile", "distance_m"), 1e-300, "less than the minimum of 1"),
         # each exited 5 on an overflow, or on an unnamed "float division by zero"
         ("protect-single", ("antenna_pattern", "constant_gain_dbi"), 2999.9999,
@@ -1456,6 +1517,9 @@ def test_field_beyond_its_physical_range_exits_3(tmp_path, capsys, command, path
         ("protect-multi", {("pathloss", "alpha"): 2.1}),
         ("protect-multi", {("radar", "noise_figure_db"): 100.0}),
         ("protect-multi", {("detection", "baseline_snr_db"): 100.0}),
+        ("detect", {("radar", "system_loss_db"): 100.0}),
+        ("protect-multi", {("radar", "system_loss_db"): 100.0}),
+        ("imax", {("detection", "baseline_snr_db"): -100.0}),
         ("validate-mc", {("mc", "profile", "distance_m"): 1.0}),
         ("validate-mc", {("mc", "profile"): {"type": "optimal", "gamma": 1.0}}),
         ("protect-single", {("antenna_pattern", "constant_gain_dbi"): 50.0}),

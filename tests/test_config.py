@@ -3,6 +3,8 @@
 import copy
 import json
 import math
+import os
+from pathlib import Path
 
 import pytest
 from numpy.testing import assert_allclose
@@ -12,6 +14,7 @@ from coexist.config import (
     ParseError,
     Scenario,
     ValidationError,
+    _resolve_path,
     fixture_path,
     load_scenario,
     resolve_grid,
@@ -141,6 +144,51 @@ def test_constant_gain_override(tmp_path):
 def test_missing_file_is_parse_error():
     with pytest.raises(ParseError):
         load_scenario("/nonexistent/config.json")
+
+
+def _resolve_by_exists(path):
+    """The resolution ``_resolve_path`` replaces: ``Path.exists``, then ``Path.is_file``."""
+    try:
+        for candidate in (Path(path), fixture_path(str(path))):
+            if candidate.exists():
+                if not candidate.is_file():
+                    raise ParseError(f"config is not a regular file: {path}")
+                return candidate
+    except OSError as exc:
+        raise ParseError(f"cannot read config file {path}: {exc.strerror}") from None
+    raise ParseError(f"config file not found: {path}")
+
+
+def _resolved(resolve, path):
+    """The path ``resolve`` returns, or the message of its ParseError."""
+    try:
+        return resolve(path)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def test_resolve_path_agrees_with_exists_then_is_file(tmp_path, monkeypatch):
+    # one stat per candidate, the fixture fallback built only on a miss; the
+    # errnos Path.exists ignores, a NUL byte, a symlink loop, a file used as
+    # a directory, non-regular files and a too-long name all end as before
+    monkeypatch.chdir(tmp_path)
+    regular = tmp_path / "scenario.json"
+    regular.write_text("{}")
+    os.mkfifo("fifo.json")
+    os.symlink("loop", "loop")
+    os.symlink("nowhere", "dangling")
+    os.mkdir("type_b_radar.json")  # shadows the bundled fixture of that file name
+    paths = [
+        regular, str(regular), f"{regular}/", f"{regular}/x", "scenario.json",
+        tmp_path / "missing.json", tmp_path, "", ".", "fifo.json", "loop", "loop/x",
+        "dangling", "type_b_radar", "type_b_radar.json", "wifi_sharing", Path("wifi_sharing"),
+        "a\x00b", "wifi_sharing\x00", "x" * 5000, "/dev/zero", "/nonexistent/config.json",
+    ]
+    outcomes = [(_resolved(_resolve_path, p), _resolved(_resolve_by_exists, p)) for p in paths]
+    assert [new for new, old in outcomes] == [old for new, old in outcomes]
+    errors = [new for new, _ in outcomes if isinstance(new, str)]
+    for start in ("config file not found", "config is not a regular file", "cannot read config"):
+        assert any(error.startswith(f"ParseError: {start}") for error in errors), start
 
 
 def test_empty_and_malformed_files(tmp_path):
