@@ -11,8 +11,7 @@ Writes ``BENCH_<label>.json`` at the repository root with:
   fresh import and load ran (a module LazyLoader has not run yet is left out);
 - ``fresh_commands_s``: per subcommand and fixture, the wall time and exit
   code of ``python -m coexist.cli`` in a fresh process, as a user runs it
-  (interpreter start, imports, compiling ``src`` where no bytecode is cached,
-  the run and its writes);
+  (interpreter start, imports, compiling ``src``, the run and its writes);
 - ``load_scenario_s``: per bundled fixture, loaded by its file path, the
   first load in a fresh worker (it also reads and compiles the schema) and
   the min and median of ``LOAD_CALLS`` x ``--repeat`` (at least 50) more,
@@ -45,6 +44,10 @@ Writes ``BENCH_<label>.json`` at the repository root with:
   point is one drawn there) and how far the sample mean and variance lie
   from the analytic Campbell moments, in standard errors.  Each workload
   runs in its own fresh interpreter.
+
+The fresh interpreters of ``import_s``, ``setup_s`` and ``fresh_commands_s``
+read and write no bytecode cache (``environment.fresh_interpreters`` records
+how), so each compiles ``src`` whatever ``__pycache__`` a tree holds.
 
 The script exits 1 if a kernel workload misses its Campbell moments by
 5 standard errors or more; the record is written either way.
@@ -237,12 +240,29 @@ def _alternate_in_workers(trees, repeat, task, args):
     return results
 
 
+@functools.cache
+def _empty_pycache():
+    """One temporary directory per script run, removed at exit."""
+    return tempfile.TemporaryDirectory(prefix="bench-pycache-")
+
+
+def _fresh_env():
+    """What every fresh interpreter adds to its environment: no bytecode cache.
+
+    ``PYTHONPYCACHEPREFIX`` points at an empty directory, which
+    ``PYTHONDONTWRITEBYTECODE`` keeps empty, so a child compiles ``src``
+    whatever its ``__pycache__`` holds: a tree just tested is timed as a
+    clean copy is.
+    """
+    return {"PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": _empty_pycache().name}
+
+
 def _fresh(src, args, check=True):
     """``python args`` in a fresh interpreter whose ``coexist`` is the one in ``src``."""
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, *args],
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, **_fresh_env(), "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=check,
@@ -551,6 +571,7 @@ def main(argv=None):
                 "numpy": np.__version__,
                 "machine": platform.machine(),
                 "cpus": os.cpu_count(),
+                "fresh_interpreters": _fresh_env(),
             },
         }
         for label in sides

@@ -205,4 +205,5 @@ def sample_sums(
         out = sums[b * per_block:(b + 1) * per_block]
         for field in fields:
             _add_field(rng, field, k_pow, float(half_neg), out)
-    return (float(c_point) * g0) * sums[:n_samples]
+    sums *= float(c_point) * g0  # in place: no second array of the sums' size
+    return sums[:n_samples]

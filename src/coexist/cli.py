@@ -40,6 +40,7 @@ from .numerics import (
     log_log_r_squared,
     np,
     q_inverse,
+    sample_variance_in_place,
 )
 from .propagation import (
     AntennaPattern,
@@ -688,11 +689,11 @@ def _cmd_validate_mc(scenario: Scenario, tracker: _OutputTracker) -> Dict[str, A
         key = "field.density_per_m2" if exc.per_sample else "mc.samples"
         raise ValidationError(f"{key}: {exc}") from None
     mean_emp = float(np.mean(samples))
-    var_emp = float(np.var(samples, ddof=1))
     quantiles = mc.get("i_max_quantiles", [0.05, 0.1, 0.2])
     z99 = 2.5758293035489004  # two-sided 99% normal quantile
     i_max = [stats.mean_w + q_inverse(p) * stats.std_w for p in quantiles]
     empirical = [float(np.mean(samples > level)) for level in i_max]
+    var_emp = sample_variance_in_place(samples, mean_emp)  # samples is not read after
     half_width = [z99 * math.sqrt(p * (1.0 - p) / n_samples) for p in quantiles]
     within = [abs(e - p) <= h for e, p, h in zip(empirical, quantiles, half_width)]
     tracker.table(
@@ -816,6 +817,7 @@ def run_command(
     return payload
 
 
+@functools.cache  # a parser parses any number of argvs; building one takes ms
 def _build_parser() -> argparse.ArgumentParser:
     # imported here, not at module level: library callers of run_command
     # never parse arguments, and argparse (with gettext) is a few ms to import

@@ -170,20 +170,21 @@ def _resolve_path(path: str | Path) -> Path:
     return candidate
 
 
+# the radar keys that give one quantity two ways: a radar gives exactly one of each pair
+_EITHER_RADAR_KEY = (("frequency_hz", "wavelength_m"), ("el_beamwidth_deg", "scan_solid_angle_sr"))
+
+
 def _build_radar(cfg: Dict[str, Any]) -> RadarSystem:
-    has_freq = "frequency_hz" in cfg
-    has_wl = "wavelength_m" in cfg
-    if has_freq == has_wl:
-        raise ValidationError(
-            "radar: exactly one of frequency_hz or wavelength_m is required"
-        )
+    for first, second in _EITHER_RADAR_KEY:
+        if (first in cfg) == (second in cfg):
+            raise ValidationError(f"radar.{second}: exactly one of {first} or {second} is required")
     wavelength = (
-        cfg["wavelength_m"] if has_wl else SPEED_OF_LIGHT_M_S / cfg["frequency_hz"]
+        cfg["wavelength_m"] if "wavelength_m" in cfg else SPEED_OF_LIGHT_M_S / cfg["frequency_hz"]
     )
-    # rotating fan-beam default: the scan covers a 2*pi band of el-beamwidth height
-    solid_angle = cfg.get(
-        "scan_solid_angle_sr", 2.0 * math.pi * math.radians(cfg["el_beamwidth_deg"])
-    )
+    if "scan_solid_angle_sr" in cfg:
+        solid_angle = cfg["scan_solid_angle_sr"]
+    else:  # a rotating fan beam: the scan covers a 2*pi band of el-beamwidth height
+        solid_angle = 2.0 * math.pi * math.radians(cfg["el_beamwidth_deg"])
     return RadarSystem(
         tx_power_w=cfg["tx_power_w"],
         wavelength_m=wavelength,

@@ -265,6 +265,17 @@ def periodic_rule(values: np.ndarray) -> float:
     return float(values.sum()) * (TWO_PI / values.size)
 
 
+def sample_variance_in_place(x: np.ndarray, mean: float) -> float:
+    """``np.var(x, ddof=1)`` bit for bit, given ``mean = float(np.mean(x))``.
+
+    Overwrites ``x`` with its squared deviations, which ``np.var`` would
+    hold in a second array of ``x``'s size.  ``x``: float64, two or more values.
+    """
+    x -= mean
+    np.square(x, out=x)
+    return float(np.add.reduce(x)) / (x.size - 1)
+
+
 def fit_power_law(
     samples: Iterable[Tuple[float, float]]
 ) -> Tuple[float, float]:

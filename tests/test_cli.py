@@ -203,6 +203,32 @@ def test_protect_multi_policy_override(tmp_path):
     assert {r[1] for r in rows} == {repr(results["d_min_m"])}  # circle
 
 
+def test_protect_multi_with_a_fixed_beta(tmp_path):
+    def results(name, *argv, beta=None):
+        config = "type_b_radar"
+        if beta is not None:
+            config = _variant(
+                tmp_path, config, lambda cfg: _set(cfg, ("policy", "beta"), beta), f"{name}.json"
+            )
+        out = tmp_path / name
+        assert main(["protect-multi", "--config", str(config), "--out", str(out), *argv]) == 0
+        return _summary(out)["results"]
+
+    optimal = results("optimal")
+    # the optimised beta, given: the same solve, to the last bit
+    at_optimum = results("at-optimum", beta=optimal["beta"])
+    for key in ("d_min_m", "d_max_m", "area_m2"):
+        assert at_optimum[key] == optimal[key]
+    # beta 1 closes the window: a circle, the radar-blind policy's
+    blind, flat = results("blind", "--policy", "radar-blind"), results("flat", beta=1.0)
+    assert flat["d_min_m"] == flat["d_max_m"] == blind["d_min_m"]
+    assert flat["area_km2"] == blind["area_km2"]
+    # any other beta meets the same outage target with more area
+    other = results("other", beta=3.0)
+    assert other["area_m2"] > optimal["area_m2"]
+    assert abs(other["outage_probability"] - 0.1) < 1e-9
+
+
 def test_throughput_summary_and_tables(tmp_path):
     out = tmp_path / "out"
     assert main(["throughput", "--config", "wifi_sharing", "--out", str(out)]) == 0
@@ -514,20 +540,12 @@ def test_importing_coexist_without_numpy_fails():
     assert _fresh_interpreter(code).strip() == "numpy"
 
 
-def test_lazily_exported_names_are_their_modules_own():
-    # the field and WiFi modules run at first use; the package's names stay theirs
-    assert len(coexist.__all__) == len(set(coexist.__all__)) == 82
-    assert set(coexist._LAZY_NAMES) < set(coexist.__all__) <= set(dir(coexist))
-    for name, module in coexist._LAZY_NAMES.items():
-        assert getattr(coexist, name) is getattr(module, name)
-    assert protection_multi.DeploymentField is coexist.DeploymentField
-
-
 def test_a_numpy_scalar_field_is_checked_as_its_number():
     # numpy loaded after coexist, by the caller: the README's quick start
     code = (
-        "import coexist, numpy as np\n"
-        "from coexist import DeploymentField, ValidationError\n"
+        "from coexist.config import ValidationError\n"
+        "from coexist.protection_single import DeploymentField\n"
+        "import numpy as np\n"
         "def refusal(density):\n"
         "    try:\n"
         "        DeploymentField(density_per_m2=density, activity_prob=1.0, outage_max=0.1)\n"
@@ -629,6 +647,8 @@ def test_single_radar_runs_never_run_the_field_mc_or_wifi_modules(tmp_path):
 @pytest.mark.parametrize(
     "flag, value, field",
     [("--samples", "0", "mc.samples"), ("--samples", "-3", "mc.samples"),
+     # one sample has no sample variance
+     ("--samples", "1", "mc.samples"),
      ("--seed", "-1", "mc.seed"),
      # argparse's choices refuse these two, so only a library caller can pass them
      ("--format", "xml", "output.format"), ("--policy", "bogus", "policy.type")],
@@ -673,7 +693,7 @@ def _refuse_to_sample(*args, **kwargs):
         # 2000 samples of ~1.8k points each: over a 10^6-point cap
         ({"MAX_DRAWN_POINTS": 10**6}, "2000", "mc.samples"),
         # one sample alone is over a 1000-point cap: the field is the cause
-        ({"MAX_DRAWN_POINTS": 1000}, "1", "field.density_per_m2"),
+        ({"MAX_DRAWN_POINTS": 1000}, "2", "field.density_per_m2"),
         # 2000 samples need 16 KB of sums
         ({"MAX_SUMS_BYTES": 8 * 1024}, "2000", "mc.samples"),
     ],
@@ -711,6 +731,46 @@ def test_work_check_needs_no_allocation():
         _mc_kernels.check_work(2.0 * _mc_kernels.MAX_DRAWN_POINTS, 1, 1)
     assert caught.value.per_sample
     _mc_kernels.check_work(1.8e3, 10**6, 10**6)
+
+
+# the peak resident size of a big validate-mc run over the resident size it
+# starts from, once a small run has imported and loaded all it needs.  The
+# peak is Linux's VmHWM of this process image, not ru_maxrss: a child's
+# ru_maxrss also holds its parent's resident size from before the exec
+VALIDATE_MC_PEAK = """
+import json, sys
+from coexist import cli
+config, out, n_samples = sys.argv[1:]
+
+def kib(field):
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith(field + ":"))
+
+argv = ["validate-mc", "--config", config, "--out"]
+codes = [cli.main([*argv, out + "/1", "--samples", "1000"])]
+resident = kib("VmRSS")
+codes.append(cli.main([*argv, out + "/2", "--samples", n_samples]))
+print(json.dumps({"codes": codes, "growth": 1024 * (kib("VmHWM") - resident)}))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak from /proc")
+def test_validate_mc_holds_one_copy_of_its_samples(tmp_path):
+    # a near-empty field makes the sums all the memory a run needs: one
+    # float64 array of them (whole blocks of 65536 samples, as a sample
+    # draws under one point) and a boolean exceedance mask; a second copy,
+    # from scaling the sums or from np.var, would double the growth
+    n_samples = 3_000_000
+    config = _variant(
+        tmp_path, "type_b_radar", lambda cfg: _set(cfg, ("field", "density_per_m2"), 1e-12)
+    )
+    loaded = json.loads(
+        _fresh_interpreter(VALIDATE_MC_PEAK, str(config), str(tmp_path), str(n_samples))
+    )
+    assert loaded["codes"] == [0, 0]
+    block = _mc_kernels.BLOCK_POINTS
+    sums_bytes = 8 * block * -(-n_samples // block)
+    assert 0.9 * sums_bytes < loaded["growth"] < 1.3 * sums_bytes
 
 
 def _refuse_to_trace(*args, **kwargs):
@@ -1331,6 +1391,32 @@ def test_elevation_beamwidth_of_a_full_turn_exits_3(tmp_path, capsys):
     rc = main(["detect", "--config", str(config), "--out", str(tmp_path / "o")])
     assert rc == 3
     assert capsys.readouterr().err.startswith("error: radar.el_beamwidth_deg: ")
+
+
+@pytest.mark.parametrize(
+    "keys, rc, max_range_m",
+    [
+        ({"el_beamwidth_deg": 4.8}, 0, 313559.518008709),
+        ({"scan_solid_angle_sr": 0.5}, 0, 317615.8050422826),
+        ({"el_beamwidth_deg": 4.8, "scan_solid_angle_sr": 0.5}, 3, None),
+        ({}, 3, None),
+    ],
+)
+def test_one_of_el_beamwidth_or_scan_solid_angle(tmp_path, capsys, keys, rc, max_range_m):
+    def radar(cfg):
+        del cfg["radar"]["el_beamwidth_deg"]
+        cfg["radar"].update(keys)
+
+    out = tmp_path / "o"
+    config = _variant(tmp_path, "type_b_radar", radar)
+    assert main(["detect", "--config", str(config), "--out", str(out)]) == rc
+    if rc:
+        assert capsys.readouterr().err == (
+            "error: radar.scan_solid_angle_sr: exactly one of el_beamwidth_deg or "
+            "scan_solid_angle_sr is required\n"
+        )
+    else:
+        assert _summary(out)["results"]["max_range_baseline_m"] == max_range_m
 
 
 def _zero_budget(cfg):

@@ -99,8 +99,25 @@ def test_scan_solid_angle_defaults_to_fan_beam(tmp_path):
     # fan beam swept full circle in azimuth: Omega = 2*pi*theta_el
     assert_allclose(scenario.radar.scan_solid_angle_sr, 2.0 * math.pi * math.radians(4.8), rtol=1e-15)
     doc = _variant()
+    del doc["radar"]["el_beamwidth_deg"]
     doc["radar"]["scan_solid_angle_sr"] = 0.25
     assert load_scenario(_write(tmp_path, doc)).radar.scan_solid_angle_sr == 0.25
+
+
+@pytest.mark.parametrize(
+    "first, second, value",
+    [("el_beamwidth_deg", "scan_solid_angle_sr", 0.25), ("frequency_hz", "wavelength_m", 0.1)],
+)
+def test_a_radar_gives_exactly_one_key_of_each_pair(tmp_path, first, second, value):
+    # both keys, or neither: one would go unread, or the quantity is unknown
+    both, neither = _variant(), _variant()
+    both["radar"][second] = value
+    del neither["radar"][first]
+    for doc in (both, neither):
+        with pytest.raises(
+            ValidationError, match=rf"^radar\.{second}: exactly one of {first} or {second} is"
+        ):
+            load_scenario(_write(tmp_path, doc))
 
 
 def test_explicit_wavelength(tmp_path):

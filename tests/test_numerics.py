@@ -1,4 +1,4 @@
-"""Gaussian tails, bisection, periodic quadrature, log-log fitting."""
+"""Gaussian tails, bisection, periodic quadrature, sample variance, log-log fitting."""
 
 import math
 
@@ -18,6 +18,7 @@ from coexist.numerics import (
     periodic_rule,
     q_inverse,
     q_tail,
+    sample_variance_in_place,
     solve_root,
 )
 
@@ -93,6 +94,16 @@ def test_periodic_rule_trig_exact():
     theta = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
     assert_allclose(periodic_rule(2.0 + np.sin(theta)), 4.0 * math.pi, rtol=1e-14)
     assert_allclose(periodic_rule(np.cos(theta) ** 2), math.pi, rtol=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 127, 128, 129, 4097, 100_003])
+def test_sample_variance_in_place_is_np_var_bit_for_bit(n):
+    # lengths about numpy's pairwise-summation blocks, values spanning decades
+    rng = np.random.default_rng(n)
+    x = rng.random(n) * 10.0 ** rng.integers(-20, 5, n)
+    mean, original = float(np.mean(x)), x.copy()
+    assert sample_variance_in_place(x, mean) == float(np.var(original, ddof=1))
+    assert np.array_equal(x, np.square(original - mean))  # overwritten, not copied
 
 
 def test_fit_power_law_recovers_exact():

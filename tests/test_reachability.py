@@ -13,7 +13,7 @@ from these roots:
 * every module-level statement other than a definition.
 
 A reached function or class reaches every name its body, decorators and
-annotations load.  ``__init__.py``'s re-exports reach nothing.  What is left
+annotations load.  ``__init__.py`` is not walked.  What is left
 is either deleted or listed in ``ALLOWED`` with its reason.
 """
 

@@ -1,7 +1,8 @@
 """No module imports a name it never uses.
 
-An AST check over ``src/coexist`` (``__init__.py`` is exempt: its imports
-are the package's re-exports), ``tests`` and ``scripts``.  A name counts as
+An AST check over ``src/coexist`` (``__init__.py`` is exempt: it imports
+``config`` for the record checks that importing it binds), ``tests`` and
+``scripts``.  A name counts as
 used when any expression loads it or ``__all__`` lists it.
 """
 
